@@ -113,6 +113,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     comment = _config_comment(args)
     save_labels(result.partition.labels, out / "labels.txt", header_comments=[comment])
+    input_ids = loaded.input_ids()
+    if input_ids is not None:
+        with open(out / "vertices.txt", "w", encoding="utf-8") as fh:
+            fh.write(f"# {comment}\n")
+            fh.writelines(f"{v}\n" for v in input_ids)
     save_embedding(result.embedding, out / "embedding.csv")
 
     empty = result.partition.empty_parts()

@@ -5,15 +5,16 @@ File formats handled here:
 * Edge list: UTF-8 text, one edge per line, ``u<TAB>v<TAB>w`` with ``w``
   optional (default 1.0). Lines starting with ``#`` are ignored. Each
   undirected edge is listed once; the loader symmetrizes. Duplicate edges
-  have their weights summed. Vertex ids are dense 0-based integers; files
-  with arbitrary string ids get a bijective id map (order of first
-  appearance) which is returned so callers can persist it.
+  have their weights summed. Vertex ids are nonnegative integers; a file
+  with any other id (a string or a negative number) gets a bijective id map
+  (order of first appearance) which is returned so callers can persist it.
 * Label file: one integer label per line, non-comment line i is the label
   of vertex i. ``#`` comment lines are skipped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -136,8 +137,7 @@ def from_edges(
                 "rejected by default (pass allow_self_loops / --allow-self-loops "
                 "to fold them into the degree)"
             )
-        self_loops = np.zeros(n, dtype=np.float64)
-        np.add.at(self_loops, u[loop_mask], w[loop_mask])
+        self_loops = np.bincount(u[loop_mask], weights=w[loop_mask], minlength=n)
         u, v, w = u[~loop_mask], v[~loop_mask], w[~loop_mask]
 
     # Symmetrize, then let COO->CSR conversion sum duplicates and sort columns;
@@ -283,6 +283,15 @@ class GraphLoadResult:
     id_map: list[str] | None  # id_map[new_id] = original token; None if ids were dense ints
     dropped: list[int]  # original (pre-remap) ids of dropped isolated vertices
 
+    def input_ids(self) -> list[str] | None:
+        """Input id of each vertex of ``graph``; None when vertex i is input id i."""
+        if self.id_map is not None:
+            return self.id_map
+        if not self.dropped:
+            return None
+        kept = np.delete(np.arange(self.graph.n + len(self.dropped)), self.dropped)
+        return [str(i) for i in kept]
+
 
 def load_edge_list(
     path,
@@ -290,63 +299,49 @@ def load_edge_list(
     allow_self_loops: bool = False,
     drop_isolated: bool = False,
 ) -> GraphLoadResult:
-    us: list[int] = []
-    vs: list[int] = []
+    tokens: list[str] = []  # endpoint tokens, two per edge
     ws: list[float] = []
-    raw: list[tuple[str, str, float, int]] = []
-    int_ids = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) not in (2, 3):
                 raise GraphFormatError(
                     f"{path}:{lineno}: expected 'u<TAB>v[<TAB>w]', got {len(parts)} fields"
                 )
-            try:
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-            if not np.isfinite(w) or w <= 0:
-                raise GraphFormatError(f"{path}:{lineno}: weight must be positive, got {w}")
-            raw.append((parts[0], parts[1], w, lineno))
-            if int_ids:
+            w = 1.0
+            if len(parts) == 3:
                 try:
-                    iu, iv = int(parts[0]), int(parts[1])
-                    if iu < 0 or iv < 0:
-                        int_ids = False
+                    w = float(parts[2])
                 except ValueError:
-                    int_ids = False
-    if not raw:
+                    raise GraphFormatError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
+                if not 0.0 < w < math.inf:
+                    raise GraphFormatError(f"{path}:{lineno}: weight must be positive, got {w}")
+            tokens.append(parts[0])
+            tokens.append(parts[1])
+            ws.append(w)
+    if not ws:
         raise GraphFormatError(f"{path}: no edges found")
 
-    id_map: list[str] | None = None
-    if int_ids:
-        for tu, tv, w, _ in raw:
-            us.append(int(tu))
-            vs.append(int(tv))
-            ws.append(w)
-        n = max(max(us), max(vs)) + 1
+    # Nonnegative integer ids are used directly; anything else switches the
+    # whole file to string ids in order of first appearance.
+    try:
+        ids = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    except (ValueError, OverflowError):
+        ids = None
+    if ids is None or ids.min() < 0:
+        id_map = list(dict.fromkeys(tokens))
+        index = {tok: i for i, tok in enumerate(id_map)}
+        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        n = len(id_map)
     else:
-        index: dict[str, int] = {}
-        for tu, tv, w, _ in raw:
-            for tok in (tu, tv):
-                if tok not in index:
-                    index[tok] = len(index)
-            us.append(index[tu])
-            vs.append(index[tv])
-            ws.append(w)
-        n = len(index)
-        id_map = list(index.keys())
-
+        id_map = None
+        n = int(ids.max()) + 1
     g, dropped = from_edges(
-        n, us, vs, ws, allow_self_loops=allow_self_loops, drop_isolated=drop_isolated
+        n, ids[0::2], ids[1::2], ws,
+        allow_self_loops=allow_self_loops, drop_isolated=drop_isolated,
     )
-    if dropped and id_map is not None:
-        keep = [tok for i, tok in enumerate(id_map) if i not in set(dropped)]
-        id_map = keep
     return GraphLoadResult(graph=g, id_map=id_map, dropped=dropped)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specluster.errors import InputError
+from specluster.errors import InputError, SpeclusterError
 from specluster.spectral import rng_for
 
 
@@ -85,8 +85,7 @@ class Partition:
 
 def cluster_means(coords: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Mean of each cluster's points; rows of empty clusters are zero."""
-    sums = np.zeros((k, coords.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, coords)
+    sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in coords.T], axis=1)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     nonempty = counts > 0
     sums[nonempty] /= counts[nonempty, None]
@@ -178,7 +177,7 @@ def lloyd(
     lowest index), repair empty clusters, recompute means, repeat until
     the relative cost improvement drops below ``tol``, the assignment
     stops changing, or ``max_iters`` is hit. The per-iteration cost is
-    nonincreasing and asserted so.
+    nonincreasing; a rise raises SpeclusterError.
     """
     coords = _coords(points)
     n = coords.shape[0]
@@ -186,6 +185,8 @@ def lloyd(
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     if restarts < 1:
         raise InputError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise InputError(f"max_iters must be >= 1, got {max_iters}")
 
     best_labels: np.ndarray | None = None
     best_cost = np.inf
@@ -203,13 +204,13 @@ def lloyd(
             labels = new_labels
             centers = cluster_means(coords, labels, k)
             cost = kmeans_cost(coords, Partition(labels=labels, k=k))
-            assert cost <= prev_cost * (1 + 1e-12) + 1e-12, "k-means cost increased"
+            if not cost <= prev_cost * (1 + 1e-12) + 1e-12:
+                raise SpeclusterError(f"k-means cost increased from {prev_cost!r} to {cost!r}")
             small_gain = np.isfinite(prev_cost) and prev_cost - cost <= tol * max(prev_cost, 1e-300)
             prev_cost = cost
             if unchanged or small_gain:
                 break
-        if prev_cost < best_cost:
+        if r == 0 or prev_cost < best_cost:
             best_cost = prev_cost
             best_labels = labels
-    assert best_labels is not None
     return Partition(labels=best_labels, k=k)

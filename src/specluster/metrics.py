@@ -11,7 +11,7 @@ volume of vertices on which the parts disagree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -46,8 +46,7 @@ class ContingencyTable:
         if la.size != lb.size:
             raise InputError(f"label lengths differ: {la.size} vs {lb.size}")
         ka, kb = _num_parts(a, la), _num_parts(b, lb)
-        counts = np.zeros((ka, kb), dtype=np.int64)
-        np.add.at(counts, (la, lb), 1)
+        counts = np.bincount(la * kb + lb, minlength=ka * kb).reshape(ka, kb)
         return cls(
             counts=counts,
             row_marginals=counts.sum(axis=1),
@@ -118,12 +117,9 @@ def matched_sym_diff_volume(g: Graph, a, s) -> tuple[float, np.ndarray]:
     ka, ks = _num_parts(a, la), _num_parts(s, ls)
     k = max(ka, ks)
 
-    vol_a = np.zeros(k)
-    np.add.at(vol_a, la, g.degrees)
-    vol_s = np.zeros(k)
-    np.add.at(vol_s, ls, g.degrees)
-    inter = np.zeros((k, k))
-    np.add.at(inter, (la, ls), g.degrees)
+    vol_a = np.bincount(la, weights=g.degrees, minlength=k)
+    vol_s = np.bincount(ls, weights=g.degrees, minlength=k)
+    inter = np.bincount(la * k + ls, weights=g.degrees, minlength=k * k).reshape(k, k)
 
     cost = vol_a[:, None] + vol_s[None, :] - 2.0 * inter
     rows, cols = linear_sum_assignment(cost)
@@ -142,12 +138,10 @@ def partition_conductances(g: Graph, p) -> np.ndarray:
     empties = np.flatnonzero(sizes == 0)
     if empties.size:
         raise InputError(f"empty parts not allowed: {empties.tolist()}")
-    vol = np.zeros(k)
-    np.add.at(vol, labels, g.degrees)
+    vol = np.bincount(labels, weights=g.degrees, minlength=k)
     src = g.edge_sources()
     crossing = labels[src] != labels[g.col_indices]
-    cut = np.zeros(k)
-    np.add.at(cut, labels[src[crossing]], g.weights[crossing])
+    cut = np.bincount(labels[src[crossing]], weights=g.weights[crossing], minlength=k)
     total = g.total_volume
     other = total - vol
     if np.any(other <= 0):
@@ -167,10 +161,9 @@ class ClusteringReport:
     matched_sym_diff_volume: float
     permutation: list[int]
     padded_parts: bool = False
-    timings: dict[str, float] | None = field(default=None)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "ari": self.ari,
             "nmi": self.nmi,
             "max_conductance": self.max_conductance,
@@ -178,12 +171,9 @@ class ClusteringReport:
             "permutation": list(map(int, self.permutation)),
             "padded_parts": self.padded_parts,
         }
-        if include_timings and self.timings is not None:
-            out["timings_ms"] = self.timings
-        return out
 
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def evaluate_partition(g: Graph, predicted, truth) -> ClusteringReport:

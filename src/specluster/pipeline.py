@@ -30,6 +30,7 @@ from specluster.spectral import (
     dense_signless_laplacian,
     pm_k_orthonormal_vectors,
     power_method,
+    rng_for,
     sample_gaussian_vectors,
     subspace_iteration_eigs,
 )
@@ -115,9 +116,6 @@ class PipelineResult:
     t: int | None  # None for eigs modes
     eigs_converged: bool | None = None
     eigs_iterations: int | None = None
-
-    def __iter__(self):
-        return iter((self.partition, self.embedding, self.timings))
 
 
 def _kmeans_seed(seed: int) -> int:
@@ -263,9 +261,7 @@ def kmeans_cost_preservation_check(
     parts: list[Partition] = []
     if planted is not None:
         parts.append(planted)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, _TAG_RANDOM_PARTITIONS]))
-    )
+    rng = rng_for(seed, _TAG_RANDOM_PARTITIONS)
     for _ in range(trials):
         parts.append(Partition(labels=rng.integers(0, k, size=g.n), k=k))
 

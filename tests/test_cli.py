@@ -51,7 +51,28 @@ def test_cluster_two_triangles(triangles_file, tmp_path, capsys):
     assert set(timings["stage_ms"]) == {"embed", "scale", "kmeans", "total"}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config"]["k"] == 2
+    assert not (out / "vertices.txt").exists()  # dense integer ids need no mapping
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "ids, flags",
+    [
+        (["0", "1", "2", "5", "6", "7"], ["--drop-isolated"]),  # 3 and 4 are dropped
+        (["a", "b", "c", "x", "y", "z"], []),  # string ids
+    ],
+)
+def test_cluster_renumbered_vertices_keep_their_ids(tmp_path, ids, flags):
+    graph = tmp_path / "g.tsv"
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    graph.write_text("".join(f"{ids[a]}\t{ids[b]}\n" for a, b in triangles))
+    out = tmp_path / "run"
+    assert run_cli("cluster", "--graph", graph, "--k", 2, *flags, "--out", out) == 0
+    header, *vertices = (out / "vertices.txt").read_text().splitlines()
+    assert header == (out / "labels.txt").read_text().splitlines()[0]
+    assert vertices == ids
+    labels = load_labels(out / "labels.txt", expected_n=6)
+    assert ari(labels, np.array([0, 0, 0, 1, 1, 1])) == pytest.approx(1.0)
 
 
 def test_cluster_missing_graph_exits_2(tmp_path, capsys):

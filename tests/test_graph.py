@@ -248,6 +248,11 @@ def test_edge_list_round_trip(tmp_path):
     assert loaded.graph.n == g.n
     assert np.array_equal(loaded.graph.col_indices, g.col_indices)
     assert np.array_equal(loaded.graph.weights, g.weights)
+    # a leading zero still reads as an integer id
+    path.write_text("03\t1\n0\t2\n2\t3\n")
+    loaded = load_edge_list(path)
+    assert loaded.id_map is None
+    assert loaded.graph.degrees.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_edge_list_default_weight_and_comments(tmp_path):
@@ -272,6 +277,11 @@ def test_edge_list_string_ids_first_appearance(tmp_path):
     res = load_edge_list(path)
     assert res.id_map == ["alice", "bob", "carol"]
     assert res.graph.degrees.tolist() == [1.0, 3.0, 2.0]
+    # a string id on the last line switches the earlier integer ids too
+    path.write_text("0\t1\n1\tx\n")
+    res = load_edge_list(path)
+    assert res.id_map == ["0", "1", "x"]
+    assert res.graph.degrees.tolist() == [1.0, 2.0, 1.0]
 
 
 def test_edge_list_negative_ids_treated_as_strings(tmp_path):
@@ -300,6 +310,10 @@ def test_edge_list_malformed_lines_name_line_number(tmp_path):
     path.write_text("0\t1\tnope\n")
     with pytest.raises(GraphFormatError, match=":1"):
         load_edge_list(path)
+    for weight in ("0", "-1.5", "inf", "nan"):
+        path.write_text(f"0\t1\n1\t2\t{weight}\n")
+        with pytest.raises(GraphFormatError, match=":2: weight must be positive"):
+            load_edge_list(path)
     path.write_text("# only comments\n")
     with pytest.raises(GraphFormatError, match="no edges"):
         load_edge_list(path)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from specluster.errors import InputError
+from specluster import kmeans
+from specluster.errors import InputError, SpeclusterError
 from specluster.kmeans import (
     Partition,
     PointSet,
@@ -216,8 +217,18 @@ def test_lloyd_input_validation():
         lloyd(np.zeros((3, 1)), 4, seed=0)
     with pytest.raises(InputError):
         lloyd(np.zeros((3, 1)), 2, seed=0, restarts=0)
+    with pytest.raises(InputError, match="max_iters"):
+        lloyd(np.zeros((3, 1)), 2, seed=0, max_iters=0)
     with pytest.raises(InputError, match="NaN|finite|Inf"):
         lloyd(np.array([[np.inf, 0.0]]), 1, seed=0)
+
+
+def test_lloyd_rising_cost_is_an_error(monkeypatch):
+    costs = iter(range(1, 1000))
+    monkeypatch.setattr(kmeans, "kmeans_cost", lambda points, part: float(next(costs)))
+    rng = np.random.default_rng(10)
+    with pytest.raises(SpeclusterError, match="from 1.0 to 2.0"):
+        lloyd(rng.standard_normal((20, 2)), 3, seed=0, restarts=1)
 
 
 def test_pointset_partition_validation():
