@@ -27,7 +27,7 @@ from specluster.generate import (
     sample_sbm,
     write_sbm_metadata,
 )
-from specluster.graph import load_edge_list, load_labels, save_edge_list, save_labels
+from specluster.graph import load_edge_list, load_labels, save_edge_list, save_labels, write_rows
 from specluster.kmeans import Partition
 from specluster.metrics import ari, evaluate_partition, nmi, partition_conductances
 from specluster.pipeline import MODES, SpectralParams, fast_spectral_cluster
@@ -115,9 +115,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     save_labels(result.partition.labels, out / "labels.txt", header_comments=[comment])
     input_ids = loaded.input_ids()
     if input_ids is not None:
-        with open(out / "vertices.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"# {comment}\n")
-            fh.writelines(f"{v}\n" for v in input_ids)
+        write_rows(out / "vertices.txt", [f"# {comment}"], "%s\n", input_ids)
     save_embedding(result.embedding, out / "embedding.csv")
 
     empty = result.partition.empty_parts()

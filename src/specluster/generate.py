@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from specluster.errors import GraphFormatError, InputError
-from specluster.graph import Graph, from_edges
+from specluster.graph import Graph, data_lines, from_edges, write_rows
 from specluster.kmeans import Partition, PointSet
 from specluster.spectral import GENERATOR_NAME, rng_for
 
@@ -227,15 +227,9 @@ def load_points_csv(path) -> PointCloud:
     all other columns are coordinates, in file order. ``#`` lines are
     skipped anywhere.
     """
-    rows: list[list[str]] = []
-    line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([tok.strip() for tok in line.split(",")])
-            line_nos.append(lineno)
+        rows = [(lineno, [tok.strip() for tok in line.split(",")])
+                for lineno, line in data_lines(fh)]
     if not rows:
         raise GraphFormatError(f"{path}: no data rows")
 
@@ -247,20 +241,19 @@ def load_points_csv(path) -> PointCloud:
             return False
 
     label_col: int | None = None
-    if not all(numeric(tok) for tok in rows[0]):
-        header = [tok.lower() for tok in rows[0]]
+    if not all(numeric(tok) for tok in rows[0][1]):
+        header = [tok.lower() for tok in rows[0][1]]
         for i, name in enumerate(header):
             if name == "label":
                 label_col = i
         rows = rows[1:]
-        line_nos = line_nos[1:]
         if not rows:
             raise GraphFormatError(f"{path}: header but no data rows")
 
-    width = len(rows[0])
+    width = len(rows[0][1])
     coords_list: list[list[float]] = []
     labels_list: list[int] = []
-    for row, lineno in zip(rows, line_nos):
+    for lineno, row in rows:
         if len(row) != width:
             raise GraphFormatError(
                 f"{path}:{lineno}: expected {width} columns, got {len(row)}"
@@ -283,16 +276,14 @@ def load_points_csv(path) -> PointCloud:
 
 
 def save_points_csv(pc: PointCloud, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [f"x{i}" for i in range(pc.d)]
-        if pc.labels is not None:
-            cols.append("label")
-        fh.write(",".join(cols) + "\n")
-        for i in range(pc.n):
-            vals = [f"{v:.17g}" for v in pc.points.coords[i]]
-            if pc.labels is not None:
-                vals.append(str(int(pc.labels[i])))
-            fh.write(",".join(vals) + "\n")
+    names = [f"x{i}" for i in range(pc.d)]
+    fmts = ["%.17g"] * pc.d
+    columns = list(pc.points.coords.T)
+    if pc.labels is not None:
+        names.append("label")
+        fmts.append("%d")
+        columns.append(pc.labels)
+    write_rows(path, [",".join(names)], ",".join(fmts) + "\n", *columns)
 
 
 def write_sbm_metadata(sample: SbmSample, path) -> None:

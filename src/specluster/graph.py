@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,6 +25,9 @@ import scipy.sparse as sp
 from specluster.errors import GraphFormatError, InputError, UndefinedConductanceError
 
 _BRUTE_FORCE_MAX_N = 12
+# Rows per ``%`` call in write_rows: a few thousand rows amortize the call
+# while one block's values stay a small share of the process's memory.
+_WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -345,24 +349,42 @@ def load_edge_list(
     return GraphLoadResult(graph=g, id_map=id_map, dropped=dropped)
 
 
+def write_rows(path, header_lines: Iterable[str], fmt: str, *columns) -> None:
+    """Write each header line, then ``fmt % row`` for every row of ``columns``.
+
+    ``fmt`` formats one whole row, newline included; ``columns`` are equal-length
+    1-D sequences. Rows are formatted ``_WRITE_BLOCK_ROWS`` at a time with one
+    ``%`` per block, which gives the same bytes as one ``%`` per row while
+    holding only one block of values as Python objects.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in header_lines)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            block = [c[lo:lo + _WRITE_BLOCK_ROWS].tolist() for c in columns]
+            fh.write((fmt * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+
+
+def data_lines(fh, start: int = 1) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, stripped line)`` for each line that is not blank or a ``#`` comment."""
+    for lineno, line in enumerate(fh, start=start):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def save_edge_list(g: Graph, path, header_comments: Sequence[str] = ()) -> None:
     """Write the upper triangle (u < v) as a tab-separated edge list."""
     src = g.edge_sources()
     upper = src < g.col_indices
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
-        for a, b, w in zip(src[upper], g.col_indices[upper], g.weights[upper]):
-            fh.write(f"{a}\t{b}\t{w:.17g}\n")
+    write_rows(path, [f"# {c}" for c in header_comments], "%d\t%d\t%.17g\n",
+               src[upper], g.col_indices[upper], g.weights[upper])
 
 
 def load_labels(path, expected_n: int | None = None) -> np.ndarray:
     labels: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(fh):
             try:
                 labels.append(int(line))
             except ValueError:
@@ -375,8 +397,5 @@ def load_labels(path, expected_n: int | None = None) -> np.ndarray:
 
 
 def save_labels(labels: np.ndarray, path, header_comments: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments:
-            fh.write(f"# {comment}\n")
-        for lab in np.asarray(labels, dtype=np.int64):
-            fh.write(f"{lab}\n")
+    write_rows(path, [f"# {c}" for c in header_comments], "%d\n",
+               np.asarray(labels, dtype=np.int64))

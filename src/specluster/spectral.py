@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from specluster.errors import GraphFormatError, InputError, RankDeficiencyError
-from specluster.graph import Graph
+from specluster.graph import Graph, data_lines, write_rows
 
 GENERATOR_NAME = "numpy-pcg64-ziggurat"
 
@@ -56,7 +55,8 @@ class SignlessLaplacianOp:
         s = self.inv_sqrt_degrees if x.ndim == 1 else self.inv_sqrt_degrees[:, None]
         return 0.5 * x + 0.5 * (s * (self._adj @ (s * x)))
 
-    __call__ = matvec
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matvec(x)
 
     def dense(self) -> np.ndarray:
         """Dense M, for oracle comparisons on small graphs."""
@@ -68,20 +68,9 @@ def dense_signless_laplacian(g: Graph) -> np.ndarray:
     return SignlessLaplacianOp(g).dense()
 
 
-def _as_matvec(op):
-    """Accept a SignlessLaplacianOp, any .matvec object, a callable, or a dense array."""
-    if hasattr(op, "matvec"):
-        return op.matvec
-    if isinstance(op, np.ndarray) or sp.issparse(op):
-        return lambda x: op @ x
-    if callable(op):
-        return op
-    raise InputError(f"cannot interpret {type(op).__name__} as a linear operator")
-
-
 def apply_m(op: SignlessLaplacianOp, x: np.ndarray) -> np.ndarray:
     """y = Mx. Preserves nonnegativity and never grows the 2-norm."""
-    return _as_matvec(op)(x)
+    return op @ x
 
 
 def power_method(op, x0: np.ndarray, t: int) -> np.ndarray:
@@ -89,16 +78,15 @@ def power_method(op, x0: np.ndarray, t: int) -> np.ndarray:
 
     Safe because every eigenvalue of M is at most 1; components outside
     the dominant eigenspace decay, which is the point. ``op`` may be a
-    SignlessLaplacianOp, a dense symmetric matrix, or any callable, so
-    synthetic operators with a prescribed spectrum work too. ``x0`` may
-    be a vector or an (n, l) column block.
+    SignlessLaplacianOp or any matrix that supports ``@``, so synthetic
+    operators with a prescribed spectrum work too. ``x0`` may be a vector
+    or an (n, l) column block.
     """
     if t < 0:
         raise InputError(f"power method step count must be >= 0, got {t}")
-    mv = _as_matvec(op)
     x = np.array(x0, dtype=np.float64, copy=True)
     for _ in range(int(t)):
-        x = mv(x)
+        x = op @ x
     return x
 
 
@@ -140,15 +128,11 @@ _EMBEDDING_MAGIC = "#specluster-embedding"
 
 def save_embedding(em: EmbeddingMatrix, path) -> None:
     """Header + one comma-separated row per vertex at 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"{_EMBEDDING_MAGIC} n={em.n} l={em.l} "
-            f"scaled={1 if em.scaled else 0} seed={em.seed}\n"
-        )
-        fh.write(f"# generator={GENERATOR_NAME} numpy={np.__version__}\n")
-        for row in em.data:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    header = [
+        f"{_EMBEDDING_MAGIC} n={em.n} l={em.l} scaled={1 if em.scaled else 0} seed={em.seed}",
+        f"# generator={GENERATOR_NAME} numpy={np.__version__}",
+    ]
+    write_rows(path, header, ",".join(["%.17g"] * em.l) + "\n", *em.data.T)
 
 
 def load_embedding(path) -> EmbeddingMatrix:
@@ -163,14 +147,16 @@ def load_embedding(path) -> EmbeddingMatrix:
         except (KeyError, ValueError):
             raise GraphFormatError(f"{path}:1: malformed header {header!r}") from None
         rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(fh, start=2):
             try:
-                rows.append([float(v) for v in line.split(",")])
+                row = [float(v) for v in line.split(",")]
             except ValueError:
                 raise GraphFormatError(f"{path}:{lineno}: bad row") from None
+            if len(row) != ncols:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected {ncols} values, got {len(row)}"
+                )
+            rows.append(row)
     data = np.asarray(rows, dtype=np.float64)
     if data.shape != (n, ncols):
         raise GraphFormatError(
@@ -227,8 +213,7 @@ def subspace_iteration_eigs(
     Non-convergence is reported through ``converged=False``, not raised:
     callers doing benchmarking want the partial answer and the flag.
     """
-    mv = _as_matvec(op)
-    n = op.n if hasattr(op, "n") else op.shape[0]
+    n = op.n
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = rng_for(seed, _TAG_EIGS_INIT)
@@ -240,7 +225,7 @@ def subspace_iteration_eigs(
     used = 0
     converged = False
     for it in range(1, int(iters) + 1):
-        b = mv(q)
+        b = op @ q
         h = q.T @ b
         h = 0.5 * (h + h.T)
         evals, w = np.linalg.eigh(h)  # ascending

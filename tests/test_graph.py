@@ -9,9 +9,11 @@ from specluster.errors import (
     UndefinedConductanceError,
 )
 from specluster.graph import (
+    _WRITE_BLOCK_ROWS,
     Graph,
     conductance,
     cut_weight,
+    data_lines,
     from_edges,
     k_way_expansion_bruteforce,
     load_edge_list,
@@ -20,6 +22,7 @@ from specluster.graph import (
     save_edge_list,
     save_labels,
     volume,
+    write_rows,
 )
 
 
@@ -330,3 +333,35 @@ def test_labels_round_trip_and_validation(tmp_path):
     path.write_text("0\nx\n")
     with pytest.raises(GraphFormatError, match=":2"):
         load_labels(path)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1])
+def test_write_rows_matches_per_value_formatting(tmp_path, rows):
+    # The reference formats each value with an f-string, one row at a time.
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1][:rows]
+    ids = np.int64(2**62) - rng.integers(0, 1000, rows, dtype=np.int64)
+    names = [f"v{i}\u00e9" for i in range(rows)]
+    cases = [
+        ("%d\t%s\t%.17g\n", (ids, names, floats),
+         lambda a, s, w: f"{a}\t{s}\t{w:.17g}\n"),
+        ("%.17g,%.17g\n", (floats, floats[::-1]),
+         lambda x, y: ",".join(f"{v:.17g}" for v in (x, y)) + "\n"),
+        ("%s\n", (names,), lambda s: f"{s}\n"),
+    ]
+    path = tmp_path / "rows.txt"
+    for fmt, columns, reference in cases:
+        write_rows(path, ["#magic n=1", "# comment"], fmt, *columns)
+        expected = "#magic n=1\n# comment\n" + "".join(reference(*r) for r in zip(*columns))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_data_lines_report_file_line_numbers(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_text("# head\n\n1\n  # indented comment\n\t\n 2 \n")
+    with open(path) as fh:
+        assert list(data_lines(fh)) == [(3, "1"), (6, "2")]
+    with open(path) as fh:
+        fh.readline()
+        assert list(data_lines(fh, start=2)) == [(3, "1"), (6, "2")]

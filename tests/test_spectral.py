@@ -364,6 +364,13 @@ def test_embedding_header_errors(tmp_path):
         load_embedding(path)
 
 
+def test_embedding_ragged_row_names_its_line(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_text("#specluster-embedding n=2 l=2 scaled=0 seed=0\n1.0,2.0\n# c\n3.0\n")
+    with pytest.raises(GraphFormatError, match=r"emb\.csv:4: expected 2 values, got 1"):
+        load_embedding(path)
+
+
 def test_embedding_rejects_nonfinite():
     with pytest.raises(InputError, match="NaN"):
         EmbeddingMatrix(data=np.array([[np.nan, 1.0]]), scaled=False)
