@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from specluster import __version__
@@ -93,11 +94,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     loaded = load_edge_list(
         args.graph,
         allow_self_loops=args.allow_self_loops,
         drop_isolated=args.drop_isolated,
     )
+    parse_ms = (time.perf_counter() - start) * 1e3
     g = loaded.graph
     params = SpectralParams(
         k=args.k, epsilon=args.epsilon, l=args.l, t=args.t, mode=args.mode, seed=args.seed
@@ -109,14 +112,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             f"({result.eigs_iterations} sweeps) without reaching tolerance",
             file=sys.stderr,
         )
-
-    out = _out_dir(args)
-    comment = _config_comment(args)
-    save_labels(result.partition.labels, out / "labels.txt", header_comments=[comment])
-    input_ids = loaded.input_ids()
-    if input_ids is not None:
-        write_rows(out / "vertices.txt", [f"# {comment}"], "%s\n", input_ids)
-    save_embedding(result.embedding, out / "embedding.csv")
 
     empty = result.partition.empty_parts()
     report = {
@@ -136,9 +131,22 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         ),
         "eigs_converged": result.eigs_converged,
     }
+
+    out = _out_dir(args)
+    comment = _config_comment(args)
+    start = time.perf_counter()
+    save_labels(result.partition.labels, out / "labels.txt", header_comments=[comment])
+    input_ids = loaded.input_ids()
+    if input_ids is not None:
+        write_rows(out / "vertices.txt", [f"# {comment}"], "%s\n", input_ids)
+    save_embedding(result.embedding, out / "embedding.csv")
     _write_json(out / "report.json", report)
+    write_ms = (time.perf_counter() - start) * 1e3
     _write_json(out / "meta.json", _meta(args))
-    _write_json(out / "timings.json", {"stage_ms": result.timings})
+    _write_json(
+        out / "timings.json",
+        {"stage_ms": result.timings, "io_ms": {"parse": parse_ms, "write": write_ms}},
+    )
     print(f"wrote {out}/labels.txt ({g.n} vertices, k={args.k}, mode={args.mode})")
     return 0
 

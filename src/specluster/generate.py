@@ -219,6 +219,21 @@ def build_knn_graph(pc: PointCloud | PointSet | np.ndarray, k_nn: int) -> Graph:
     return g
 
 
+def _int64_label(tok: str) -> int | None:
+    """``tok`` as an integer label, or None if it is fractional or outside int64.
+
+    Raises ValueError if ``tok`` is not a number at all.
+    """
+    try:
+        value = int(tok)
+    except ValueError:
+        as_float = float(tok)
+        if not as_float.is_integer():
+            return None
+        value = int(as_float)
+    return value if -(2**63) <= value < 2**63 else None
+
+
 def load_points_csv(path) -> PointCloud:
     """Comma-separated points, one per row; optional header naming columns.
 
@@ -261,13 +276,16 @@ def load_points_csv(path) -> PointCloud:
         try:
             if label_col is None:
                 coords_list.append([float(tok) for tok in row])
-            else:
-                coords_list.append(
-                    [float(tok) for i, tok in enumerate(row) if i != label_col]
-                )
-                labels_list.append(int(float(row[label_col])))
+                continue
+            coords_list.append([float(tok) for i, tok in enumerate(row) if i != label_col])
+            label = _int64_label(row[label_col])
         except ValueError:
             raise GraphFormatError(f"{path}:{lineno}: non-numeric value") from None
+        if label is None:
+            raise GraphFormatError(
+                f"{path}:{lineno}: label {row[label_col]!r} is not an integer in int64 range"
+            )
+        labels_list.append(label)
     coords = np.asarray(coords_list, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] < 1:
         raise GraphFormatError(f"{path}: points need at least one coordinate column")

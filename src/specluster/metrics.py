@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from specluster.errors import InputError, UndefinedConductanceError
 from specluster.graph import Graph
@@ -120,6 +119,9 @@ def matched_sym_diff_volume(g: Graph, a, s) -> tuple[float, np.ndarray]:
     vol_a = np.bincount(la, weights=g.degrees, minlength=k)
     vol_s = np.bincount(ls, weights=g.degrees, minlength=k)
     inter = np.bincount(la * k + ls, weights=g.degrees, minlength=k * k).reshape(k, k)
+
+    # Imported here: scipy.optimize costs every CLI start ~0.3 s and only evaluate needs it.
+    from scipy.optimize import linear_sum_assignment
 
     cost = vol_a[:, None] + vol_s[None, :] - 2.0 * inter
     rows, cols = linear_sum_assignment(cost)

@@ -49,6 +49,8 @@ def test_cluster_two_triangles(triangles_file, tmp_path, capsys):
     assert emb.n == 6 and emb.l == 1 and emb.scaled
     timings = json.loads((out / "timings.json").read_text())
     assert set(timings["stage_ms"]) == {"embed", "scale", "kmeans", "total"}
+    assert set(timings["io_ms"]) == {"parse", "write"}
+    assert all(ms >= 0 for ms in timings["io_ms"].values())
     meta = json.loads((out / "meta.json").read_text())
     assert meta["config"]["k"] == 2
     assert not (out / "vertices.txt").exists()  # dense integer ids need no mapping

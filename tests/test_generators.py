@@ -218,7 +218,7 @@ def test_points_csv_no_header(tmp_path):
 
 def test_points_csv_header_with_label_column(tmp_path):
     path = tmp_path / "p.csv"
-    path.write_text("# generated sample\nx0,label,x1\n1.0,3,2.0\n4.0,1,5.0\n")
+    path.write_text("# generated sample\nx0,label,x1\n1.0,3,2.0\n4.0,1.0,5.0\n")
     pc = load_points_csv(path)
     assert pc.labels.tolist() == [3, 1]
     assert pc.points.coords.tolist() == [[1.0, 2.0], [4.0, 5.0]]
@@ -230,6 +230,14 @@ def test_points_csv_header_without_label(tmp_path):
     pc = load_points_csv(path)
     assert pc.labels is None
     assert pc.points.coords.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("label", ["1.7", "1e20"])
+def test_points_csv_rejects_fractional_and_out_of_range_labels(tmp_path, label):
+    path = tmp_path / "p.csv"
+    path.write_text(f"x,label\n0.0,1\n0.0,{label}\n")
+    with pytest.raises(GraphFormatError, match=r"p\.csv:3: label"):
+        load_points_csv(path)
 
 
 def test_points_csv_errors_name_line_numbers(tmp_path):

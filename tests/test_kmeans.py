@@ -138,6 +138,42 @@ def test_seeding_handles_duplicate_points():
 
 
 # ---------------------------------------------------------------------------
+# Blocked assignment
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        kmeans._ASSIGN_BLOCK_ROWS,
+        kmeans._ASSIGN_BLOCK_ROWS + 1,
+        2 * kmeans._ASSIGN_BLOCK_ROWS + 3,
+    ],
+)
+def test_assign_matches_one_shot_formula(n):
+    rng = np.random.default_rng(n)
+    coords = 3.0 * rng.standard_normal((n, 6))
+    coords[rng.integers(n, size=n // 3)] = coords[rng.integers(n, size=n // 3)]  # duplicates
+    tie_rows = np.unique([0, n // 2])
+    coords[tie_rows] = [0.0, 0.01, 0.02, 0.0, 0.0, 0.0]
+    x2 = np.einsum("ij,ij->i", coords, coords)
+    for _ in range(10):
+        centers = 3.0 * rng.standard_normal((40, 6))
+        # centers 1 and 2 are mirror images, so a point with x[0] = 0 is exactly
+        # as far from each, and nearer to them than to any other center
+        centers[1:3] = 0.0
+        centers[1, 0], centers[2, 0] = 0.5, -0.5
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        ref = np.maximum(x2[:, None] - 2.0 * coords @ centers.T + c2, 0)
+        ref_labels = np.argmin(ref, axis=1)
+
+        labels, d2_own = kmeans._assign(coords, x2, centers)
+        assert np.array_equal(labels, ref_labels)
+        assert d2_own.tobytes() == ref[np.arange(n), ref_labels].tobytes()
+        assert np.all(labels[tie_rows] == 1)  # tie goes to the lower index
+
+
+# ---------------------------------------------------------------------------
 # Lloyd
 
 
