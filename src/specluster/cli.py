@@ -12,7 +12,6 @@ input (argparse uses 2 on its own for malformed flags).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -168,7 +167,7 @@ def cmd_generate_sbm(args: argparse.Namespace) -> int:
 
 def cmd_knn_graph(args: argparse.Namespace) -> int:
     pc = load_points_csv(args.points)
-    g = build_knn_graph(pc, args.knn)
+    g = build_knn_graph(pc.points.coords, args.knn)
     out = _out_dir(args)
     comment = _config_comment(args)
     save_edge_list(g, out / "graph.tsv", header_comments=[comment])
@@ -263,23 +262,9 @@ def run_bench(
 
 
 def _write_bench_csv(path: Path, rows: list[dict], comment: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "k", "n", "seed", "stage", "seconds", "ari", "nmi"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r["mode"],
-                    r["k"],
-                    r["n"],
-                    r["seed"],
-                    r["stage"],
-                    f"{r['seconds']:.6f}",
-                    f"{r['ari']:.6f}",
-                    f"{r['nmi']:.6f}",
-                ]
-            )
+    fields = ("mode", "k", "n", "seed", "stage", "seconds", "ari", "nmi")
+    write_rows(path, [f"# {comment}", ",".join(fields)], "%s,%d,%d,%d,%s,%.6f,%.6f,%.6f\n",
+               *([r[f] for r in rows] for f in fields))
 
 
 _PLOT_TEMPLATE = """\

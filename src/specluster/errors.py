@@ -21,9 +21,5 @@ class UndefinedConductanceError(InputError):
     """Conductance requested for an empty set or the full vertex set."""
 
 
-class ConvergenceError(SpeclusterError):
-    """An iterative solver failed to reach its tolerance."""
-
-
 class RankDeficiencyError(SpeclusterError):
     """Orthonormalization found numerically dependent columns."""

@@ -10,6 +10,7 @@ given the master seed and independent of evaluation order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,6 @@ class SbmParams:
         return self.n // self.k
 
 
-def sbm_expected_edges(params: SbmParams) -> float:
-    s = params.block_size
-    intra = params.k * (s * (s - 1) / 2.0) * params.p
-    inter = (params.k * (params.k - 1) / 2.0) * float(s) * s * params.q
-    return intra + inter
-
-
 def _bernoulli_positions(rng: np.random.Generator, count: int, prob: float) -> np.ndarray:
     """Indices of successes in `count` iid Bernoulli(prob) trials, 0-based."""
     if count <= 0 or prob <= 0.0:
@@ -89,9 +83,6 @@ class SbmSample:
     planted: Partition
     dropped: list[int]  # original vertex ids removed as isolated
     params: SbmParams
-
-    def __iter__(self):
-        return iter((self.graph, self.planted))
 
     def metadata_record(self) -> dict:
         return {
@@ -178,21 +169,16 @@ class PointCloud:
 _KNN_MAX_N = 50_000
 
 
-def build_knn_graph(pc: PointCloud | PointSet | np.ndarray, k_nn: int) -> Graph:
-    """Exact k-nearest-neighbour graph, symmetrized by union, unit weights.
+def build_knn_graph(points: np.ndarray, k_nn: int) -> Graph:
+    """Exact k-nearest-neighbour graph of the rows of an (n, d) array.
 
-    Brute force with Euclidean distances: O(n^2 (d + log n)) time, chunked
-    so memory stays O(chunk * n). Distance ties break toward the lower
-    point index. An edge {u, v} exists when u is among v's k_nn nearest or
-    vice versa, so every vertex keeps degree >= k_nn when points are
-    distinct.
+    Symmetrized by union, unit weights. Brute force with Euclidean
+    distances: O(n^2 (d + log n)) time, chunked so memory stays
+    O(chunk * n). Distance ties break toward the lower point index. An
+    edge {u, v} exists when u is among v's k_nn nearest or vice versa, so
+    every vertex keeps degree >= k_nn when points are distinct.
     """
-    if isinstance(pc, PointCloud):
-        coords = pc.points.coords
-    elif isinstance(pc, PointSet):
-        coords = pc.coords
-    else:
-        coords = PointSet(np.asarray(pc)).coords
+    coords = PointSet(points).coords
     n = coords.shape[0]
     if not 1 <= k_nn < n:
         raise InputError(f"need 1 <= k_nn < n, got k_nn={k_nn}, n={n}")
@@ -274,13 +260,15 @@ def load_points_csv(path) -> PointCloud:
                 f"{path}:{lineno}: expected {width} columns, got {len(row)}"
             )
         try:
-            if label_col is None:
-                coords_list.append([float(tok) for tok in row])
-                continue
-            coords_list.append([float(tok) for i, tok in enumerate(row) if i != label_col])
-            label = _int64_label(row[label_col])
+            point = [float(tok) for i, tok in enumerate(row) if i != label_col]
+            label = None if label_col is None else _int64_label(row[label_col])
         except ValueError:
             raise GraphFormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, point)):
+            raise GraphFormatError(f"{path}:{lineno}: coordinate is NaN or Inf")
+        coords_list.append(point)
+        if label_col is None:
+            continue
         if label is None:
             raise GraphFormatError(
                 f"{path}:{lineno}: label {row[label_col]!r} is not an integer in int64 range"

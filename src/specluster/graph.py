@@ -24,7 +24,6 @@ import scipy.sparse as sp
 
 from specluster.errors import GraphFormatError, InputError, UndefinedConductanceError
 
-_BRUTE_FORCE_MAX_N = 12
 # Rows per ``%`` call in write_rows: a few thousand rows amortize the call
 # while one block's values stay a small share of the process's memory.
 _WRITE_BLOCK_ROWS = 4096
@@ -57,10 +56,6 @@ class Graph:
     @property
     def total_volume(self) -> float:
         return float(self.degrees.sum())
-
-    def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.row_offsets[u], self.row_offsets[u + 1]
-        return self.col_indices[lo:hi], self.weights[lo:hi]
 
     def edge_sources(self) -> np.ndarray:
         """Row index of every stored (directed) entry, cached after first use."""
@@ -222,59 +217,6 @@ def conductance(g: Graph, s: Iterable[int]) -> float:
             f"(vol(S)={vol_s}, vol(complement)={vol_rest})"
         )
     return cut_weight(g, idx) / min(vol_s, vol_rest)
-
-
-def partitions_into_k_parts(n: int, k: int) -> Iterator[np.ndarray]:
-    """Yield every partition of {0..n-1} into exactly k nonempty unlabeled parts.
-
-    Partitions are emitted as restricted-growth label arrays (part of vertex
-    0 is 0, each new part gets the next label), so no relabeling of the same
-    partition appears twice.
-    """
-    if k < 1 or k > n:
-        return
-    labels = np.zeros(n, dtype=np.int64)
-
-    def rec(i: int, num_used: int) -> Iterator[np.ndarray]:
-        if i == n:
-            if num_used == k:
-                yield labels.copy()
-            return
-        # Prune branches that cannot reach exactly k parts.
-        if num_used + (n - i) < k:
-            return
-        for lab in range(min(num_used + 1, k)):
-            labels[i] = lab
-            yield from rec(i + 1, max(num_used, lab + 1))
-
-    yield from rec(1, 1) if n > 0 else iter(())
-
-
-def k_way_expansion_bruteforce(g: Graph, k: int) -> float:
-    """Exact min over k-way partitions of the max part conductance.
-
-    Exhaustive enumeration; refuses graphs with more than 12 vertices.
-    Intended as a test oracle only.
-    """
-    if g.n > _BRUTE_FORCE_MAX_N:
-        raise InputError(
-            f"brute-force k-way expansion refuses n={g.n} > {_BRUTE_FORCE_MAX_N}"
-        )
-    if not 1 <= k <= g.n:
-        raise InputError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    best = np.inf
-    for labels in partitions_into_k_parts(g.n, k):
-        worst = 0.0
-        for part in range(k):
-            members = np.flatnonzero(labels == part)
-            phi = conductance(g, members)
-            if phi > worst:
-                worst = phi
-            if worst >= best:
-                break
-        if worst < best:
-            best = worst
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ volume of vertices on which the parts disagree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,9 +172,6 @@ class ClusteringReport:
             "permutation": list(map(int, self.permutation)),
             "padded_parts": self.padded_parts,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
 def evaluate_partition(g: Graph, predicted, truth) -> ClusteringReport:

@@ -7,30 +7,24 @@ scaled by deg(u)^{-1/2} and clustered with restarted Lloyd. Three
 comparison modes swap the embedding: pm_k uses k power-iterated columns
 orthonormalized once at the end; eigs_k and eigs_log_k use actual
 eigenvectors from the block eigensolver.
-
-Also here: a small-instance harness that checks how well the random
-embedding preserves k-means costs relative to the true spectral
-embedding, using dense eigendecompositions as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from specluster.errors import InputError
 from specluster.graph import Graph
-from specluster.kmeans import Partition, PointSet, kmeans_cost, lloyd
+from specluster.kmeans import Partition, PointSet, lloyd
 from specluster.spectral import (
     EmbeddingMatrix,
     SignlessLaplacianOp,
-    dense_signless_laplacian,
     pm_k_orthonormal_vectors,
     power_method,
-    rng_for,
     sample_gaussian_vectors,
     subspace_iteration_eigs,
 )
@@ -46,7 +40,6 @@ C3 = 1.0 / (2.0 * math.log(1.0 / C1))
 C2 = 1.0 / (2.0 * math.sqrt(6.0) * C3)
 
 _TAG_KMEANS = 2
-_TAG_RANDOM_PARTITIONS = 5
 
 
 def _steps_for(n: int, epsilon: float, k: int) -> int:
@@ -175,120 +168,3 @@ def fast_spectral_cluster(g: Graph, params: SpectralParams) -> PipelineResult:
         eigs_iterations=eigs_iters,
     )
 
-
-# ---------------------------------------------------------------------------
-# Cost-preservation harness (dense oracle, small n only)
-
-
-@dataclass
-class CostPreservationReport:
-    """How well random embeddings preserve k-means costs on one instance.
-
-    F: top-k eigenvector embedding (dense oracle). Z: its random
-    projection P X0 with the projector applied to l_jl Gaussian columns.
-    Y: the power-method iterate M^t X0. All three are compared after
-    deg^{-1/2} row scaling. The multiplicative ratio normalizes Z by the
-    projection width (cost_Z / (l_jl * cost_F)); the additive deviation
-    compares Y and Z unnormalized, as the power method approximates P X0
-    itself.
-    """
-
-    n: int
-    k: int
-    epsilon: float
-    l_jl: int
-    t: int
-    planted_mult_ratio: float
-    max_mult_dev: float  # max |ratio - 1| over planted + random partitions
-    fro_additive_dev: float  # ||D^{-1/2}(Y - Z)||_F
-    max_sqrt_cost_dev: float  # max |sqrt(cost_Y) - sqrt(cost_Z)| over partitions
-    additive_bound: float  # epsilon * k
-    trials: int
-    partitions_checked: int = field(default=0)
-
-    @property
-    def planted_mult_ok(self) -> bool:
-        return abs(self.planted_mult_ratio - 1.0) <= self.epsilon
-
-    @property
-    def additive_ok(self) -> bool:
-        return self.fro_additive_dev <= self.additive_bound
-
-
-_HARNESS_MAX_N = 300
-
-
-def kmeans_cost_preservation_check(
-    g: Graph,
-    k: int,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    planted: Partition | None = None,
-) -> CostPreservationReport:
-    """Evaluate cost preservation of the random embeddings on one graph.
-
-    Needs dense eigenvectors, so n is capped at 300. The projection width
-    here is the uncapped analysis value l_jl = ceil((log2 k + log2(1/eps))
-    / eps^2); the pipeline caps its width at k for speed, but the cost
-    comparison is a statement about the projection, so the harness uses
-    the width the statement is about.
-    """
-    if g.n > _HARNESS_MAX_N:
-        raise InputError(f"dense harness refuses n={g.n} > {_HARNESS_MAX_N}")
-    if not 2 <= k <= g.n:
-        raise InputError(f"need 2 <= k <= n, got k={k}, n={g.n}")
-    if not 0.0 < epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in (0, 1], got {epsilon}")
-
-    l_jl = math.ceil((math.log2(k) + math.log2(1.0 / epsilon)) / epsilon**2)
-    t = _steps_for(g.n, epsilon, k)
-
-    m = dense_signless_laplacian(g)
-    evals, evecs = np.linalg.eigh(m)  # ascending
-    f = evecs[:, ::-1][:, :k]  # top-k eigenvectors
-    x0 = sample_gaussian_vectors(g.n, l_jl, seed).data
-    z = f @ (f.T @ x0)
-    y = power_method(m, x0, t)
-
-    s = 1.0 / np.sqrt(g.degrees)
-    b_f = PointSet(f * s[:, None])
-    b_z = PointSet(z * s[:, None])
-    b_y = PointSet(y * s[:, None])
-
-    fro_dev = float(np.linalg.norm((y - z) * s[:, None]))
-
-    parts: list[Partition] = []
-    if planted is not None:
-        parts.append(planted)
-    rng = rng_for(seed, _TAG_RANDOM_PARTITIONS)
-    for _ in range(trials):
-        parts.append(Partition(labels=rng.integers(0, k, size=g.n), k=k))
-
-    planted_ratio = math.nan
-    max_mult_dev = 0.0
-    max_sqrt_dev = 0.0
-    for i, part in enumerate(parts):
-        c_f = kmeans_cost(b_f, part)
-        c_z = kmeans_cost(b_z, part)
-        c_y = kmeans_cost(b_y, part)
-        ratio = c_z / (l_jl * c_f) if c_f > 0 else math.inf
-        if planted is not None and i == 0:
-            planted_ratio = ratio
-        max_mult_dev = max(max_mult_dev, abs(ratio - 1.0))
-        max_sqrt_dev = max(max_sqrt_dev, abs(math.sqrt(c_y) - math.sqrt(c_z)))
-
-    return CostPreservationReport(
-        n=g.n,
-        k=k,
-        epsilon=epsilon,
-        l_jl=l_jl,
-        t=t,
-        planted_mult_ratio=planted_ratio,
-        max_mult_dev=max_mult_dev,
-        fro_additive_dev=fro_dev,
-        max_sqrt_cost_dev=max_sqrt_dev,
-        additive_bound=epsilon * k,
-        trials=trials,
-        partitions_checked=len(parts),
-    )

@@ -58,20 +58,6 @@ class SignlessLaplacianOp:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
 
-    def dense(self) -> np.ndarray:
-        """Dense M, for oracle comparisons on small graphs."""
-        s = self.inv_sqrt_degrees
-        return 0.5 * (np.eye(self.n) + (s[:, None] * self._adj.toarray()) * s[None, :])
-
-
-def dense_signless_laplacian(g: Graph) -> np.ndarray:
-    return SignlessLaplacianOp(g).dense()
-
-
-def apply_m(op: SignlessLaplacianOp, x: np.ndarray) -> np.ndarray:
-    """y = Mx. Preserves nonnegativity and never grows the 2-norm."""
-    return op @ x
-
 
 def power_method(op, x0: np.ndarray, t: int) -> np.ndarray:
     """Return M^t x0. No normalization between steps.
@@ -140,8 +126,8 @@ def load_embedding(path) -> EmbeddingMatrix:
         header = fh.readline().strip()
         if not header.startswith(_EMBEDDING_MAGIC):
             raise GraphFormatError(f"{path}:1: missing '{_EMBEDDING_MAGIC}' header")
-        fields = dict(tok.split("=", 1) for tok in header.split()[1:])
         try:
+            fields = dict(tok.split("=", 1) for tok in header.split()[1:])
             n, ncols = int(fields["n"]), int(fields["l"])
             scaled, seed = fields["scaled"] == "1", int(fields["seed"])
         except (KeyError, ValueError):
@@ -192,10 +178,6 @@ class EigsResult:
     residuals: np.ndarray  # ||M f_i - gamma_i f_i||_2 per pair
     iterations: int
     converged: bool
-
-    def __iter__(self):
-        # allow `values, vectors = subspace_iteration_eigs(...)`
-        return iter((self.values, self.vectors))
 
 
 def subspace_iteration_eigs(

@@ -20,30 +20,27 @@ import scipy.sparse.csgraph as csgraph
 
 from specluster.cli import run_bench
 from specluster.generate import SbmParams, sample_sbm
-from specluster.graph import (
-    conductance,
-    k_way_expansion_bruteforce,
-    save_edge_list,
-)
+from specluster.graph import conductance, save_edge_list
 from specluster.kmeans import Partition, kmeans_cost
 from specluster.metrics import ari, matched_sym_diff_volume
-from specluster.pipeline import (
-    SpectralParams,
-    fast_spectral_cluster,
-    kmeans_cost_preservation_check,
-)
+from specluster.pipeline import SpectralParams, fast_spectral_cluster
 from specluster.spectral import (
     SignlessLaplacianOp,
-    apply_m,
-    dense_signless_laplacian,
     power_method,
     sample_gaussian_vectors,
     subspace_iteration_eigs,
 )
-from tests.test_graph import random_graph
-from tests.test_kmeans import frobenius_cost_oracle
-from tests.test_metrics import ari_pair_oracle, sym_diff_volume_exhaustive
-from tests.test_spectral import synthetic_operator
+from tests.oracles import (
+    apply_m,
+    ari_pair_oracle,
+    dense_signless_laplacian,
+    frobenius_cost_oracle,
+    k_way_expansion_bruteforce,
+    kmeans_cost_preservation_check,
+    random_graph,
+    sym_diff_volume_exhaustive,
+    synthetic_operator,
+)
 
 ARI_RECOVERY = 0.95
 EXACT_TOL = 1e-9

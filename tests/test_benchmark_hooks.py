@@ -2,9 +2,12 @@
 
 ``perfbench/tracing.py`` swaps names in the modules' namespaces for counting
 wrappers. A refactor that stops calling through one of those names would make
-``--trace 1`` report wrong counts without failing; these tests catch it.
+``--trace 1`` report wrong counts without failing; these tests catch it. They
+also check that every name ``perfbench/`` imports from the package still exists.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -17,7 +20,8 @@ from specluster.graph import save_edge_list
 from specluster.kmeans import lloyd
 from tests.test_pipeline import disjoint_cliques
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 RESTARTS = inspect.signature(lloyd).parameters["restarts"].default
 
 
@@ -59,3 +63,17 @@ def test_traced_cluster_counts(tracing, tmp_path, mode):
         assert tracer.count("spectral.matvec") == result.eigs_iterations
     assert tracer.count("kmeans.pp_seed") == RESTARTS
     assert tracer.count("kmeans.cost") >= RESTARTS
+
+
+def test_perfbench_imports_resolve():
+    imported = [
+        (node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module
+        and node.module.split(".")[0] == "specluster"
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -217,6 +217,7 @@ def test_bench_growk_smallest_grid(tmp_path):
     out = tmp_path / "bench"
     assert run_cli("bench-growk", "--kmax", 5, "--modes", "pm_log_k,pm_k",
                    "--seeds", "0", "--out", out) == 0
+    assert b"\r" not in (out / "growk.csv").read_bytes()
     text = (out / "growk.csv").read_text()
     lines = text.splitlines()
     assert lines[0].startswith("# ")
@@ -269,6 +270,18 @@ def test_console_entry_subprocess(triangles_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "labels.txt").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported inside the one function that needs it; loading
+    # it at import time would add about 0.3 s to every CLI start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, specluster.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag():

@@ -11,11 +11,11 @@ from specluster.generate import (
     load_points_csv,
     sample_sbm,
     save_points_csv,
-    sbm_expected_edges,
 )
 from specluster.kmeans import Partition, PointSet
 from specluster.metrics import ari
 from specluster.pipeline import SpectralParams, fast_spectral_cluster
+from tests.oracles import sbm_expected_edges
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +63,8 @@ def test_sbm_mean_intra_degree():
     n, k, p = 2000, 2, 0.04
     devs = []
     for seed in range(20):
-        g, planted = sample_sbm(SbmParams(n=n, k=k, p=p, q=1.0 / n, seed=seed))
-        labels = planted.labels
+        sample = sample_sbm(SbmParams(n=n, k=k, p=p, q=1.0 / n, seed=seed))
+        g, labels = sample.graph, sample.planted.labels
         src = g.edge_sources()
         intra = labels[src] == labels[g.col_indices]
         mean_intra_degree = intra.sum() / g.n
@@ -165,8 +165,7 @@ def test_knn_ties_break_toward_lower_index():
     # the union step cannot sneak the edge {0, 2} back in
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.2, 0.0], [1.2, 0.0]])
     g = build_knn_graph(pts, 1)
-    nbrs, _ = g.neighbors(0)
-    assert nbrs.tolist() == [1]
+    assert g.col_indices[g.row_offsets[0]:g.row_offsets[1]].tolist() == [1]
 
 
 def test_knn_duplicate_points_allowed():
@@ -237,6 +236,14 @@ def test_points_csv_rejects_fractional_and_out_of_range_labels(tmp_path, label):
     path = tmp_path / "p.csv"
     path.write_text(f"x,label\n0.0,1\n0.0,{label}\n")
     with pytest.raises(GraphFormatError, match=r"p\.csv:3: label"):
+        load_points_csv(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_points_csv_nonfinite_coordinate_names_its_line(tmp_path, value):
+    path = tmp_path / "p.csv"
+    path.write_text(f"x,y\n0.0,1.0\n# c\n2.0,{value}\n")
+    with pytest.raises(GraphFormatError, match=r"p\.csv:4: coordinate is NaN or Inf"):
         load_points_csv(path)
 
 

@@ -15,32 +15,19 @@ from specluster.graph import (
     cut_weight,
     data_lines,
     from_edges,
-    k_way_expansion_bruteforce,
     load_edge_list,
     load_labels,
-    partitions_into_k_parts,
     save_edge_list,
     save_labels,
     volume,
     write_rows,
 )
-
-
-def random_graph(rng, n, p, weighted=False):
-    """Upper-triangle Bernoulli edges, isolated vertices patched with a chain edge."""
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    u, v = list(iu[mask]), list(ju[mask])
-    present = set(u) | set(v)
-    for i in range(n):
-        if i not in present:
-            u.append(i)
-            v.append((i + 1) % n)
-            present.update((i, (i + 1) % n))
-    w = rng.uniform(0.5, 2.0, size=len(u)) if weighted else None
-    g, dropped = from_edges(n, u, v, w)
-    assert not dropped
-    return g
+from tests.oracles import (
+    k_way_expansion_bruteforce,
+    partitions_into_k_parts,
+    random_graph,
+    stirling2,
+)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -173,15 +160,6 @@ def test_conductance_complement_symmetry():
 
 # ---------------------------------------------------------------------------
 # partition enumeration / brute-force expansion
-
-
-def stirling2(n, k):
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
-    return table[n][k]
 
 
 def test_partition_enumeration_counts_match_stirling():

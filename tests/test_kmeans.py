@@ -14,17 +14,7 @@ from specluster.kmeans import (
     lloyd,
 )
 from specluster.metrics import ari
-
-
-def frobenius_cost_oracle(coords: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """||B - X X^T B||_F^2 with X the normalized indicator matrix."""
-    n = coords.shape[0]
-    x = np.zeros((n, k))
-    counts = np.bincount(labels, minlength=k)
-    for i, lab in enumerate(labels):
-        x[i, lab] = 1.0 / np.sqrt(counts[lab])
-    resid = coords - x @ (x.T @ coords)
-    return float(np.linalg.norm(resid) ** 2)
+from tests.oracles import frobenius_cost_oracle
 
 
 def blobs(rng, n_per, centers, sigma):

@@ -1,14 +1,12 @@
 """ARI, NMI, matched symmetric-difference volume, per-part conductance."""
 
-import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from specluster.errors import InputError, UndefinedConductanceError
-from specluster.graph import conductance, from_edges, k_way_expansion_bruteforce
+from specluster.graph import conductance, from_edges
 from specluster.kmeans import Partition
 from specluster.metrics import (
     ContingencyTable,
@@ -18,76 +16,14 @@ from specluster.metrics import (
     nmi,
     partition_conductances,
 )
-from tests.test_graph import random_graph
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def ari_pair_oracle(a, b) -> float:
-    """O(n^2) pair classification straight from the definition."""
-    n = len(a)
-    n11 = n00 = n10 = n01 = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sa, sb = a[i] == a[j], b[i] == b[j]
-            if sa and sb:
-                n11 += 1
-            elif sa and not sb:
-                n10 += 1
-            elif not sa and sb:
-                n01 += 1
-            else:
-                n00 += 1
-    total = n * (n - 1) // 2
-    index = n11
-    expected = (n11 + n10) * (n11 + n01) / total
-    maximum = ((n11 + n10) + (n11 + n01)) / 2
-    if maximum == expected:
-        return 0.0
-    return (index - expected) / (maximum - expected)
-
-
-def nmi_dict_oracle(a, b) -> float:
-    """Plain-dict mutual information, natural log, arithmetic-mean norm."""
-    n = len(a)
-    pa, pb, pab = {}, {}, {}
-    for x, y in zip(a, b):
-        pa[x] = pa.get(x, 0) + 1
-        pb[y] = pb.get(y, 0) + 1
-        pab[(x, y)] = pab.get((x, y), 0) + 1
-    mi = 0.0
-    for (x, y), c in pab.items():
-        mi += (c / n) * math.log((c / n) / ((pa[x] / n) * (pb[y] / n)))
-    ha = -sum((c / n) * math.log(c / n) for c in pa.values())
-    hb = -sum((c / n) * math.log(c / n) for c in pb.values())
-    if ha + hb == 0:
-        return 0.0
-    return mi / (0.5 * (ha + hb))
-
-
-def sym_diff_volume_exhaustive(g, la, ls, k) -> float:
-    degrees = g.degrees
-    best = math.inf
-    for perm in itertools.permutations(range(k)):
-        total = 0.0
-        for i in range(k):
-            a_i = la == i
-            s_j = ls == perm[i]
-            total += degrees[a_i ^ s_j].sum()
-        best = min(best, total)
-    return best
-
-
-def conductance_definition_oracle(g, s) -> float:
-    a = g.adjacency_csr().toarray()
-    in_s = np.zeros(g.n, dtype=bool)
-    in_s[list(s)] = True
-    cut = sum(a[i, j] for i in range(g.n) for j in range(g.n) if in_s[i] and not in_s[j])
-    vol_s = g.degrees[in_s].sum()
-    vol_c = g.degrees[~in_s].sum()
-    return cut / min(vol_s, vol_c)
+from tests.oracles import (
+    ari_pair_oracle,
+    conductance_definition_oracle,
+    k_way_expansion_bruteforce,
+    nmi_dict_oracle,
+    random_graph,
+    sym_diff_volume_exhaustive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +254,7 @@ def test_evaluate_partition_report_fields():
     assert not report.padded_parts
     assert math.isfinite(report.max_conductance)
 
-    payload = json.loads(report.to_json())
-    assert list(payload) == [
+    assert list(report.to_dict()) == [
         "ari",
         "nmi",
         "max_conductance",
@@ -327,7 +262,6 @@ def test_evaluate_partition_report_fields():
         "permutation",
         "padded_parts",
     ]
-    assert report.to_json() == report.to_json()
 
 
 def test_report_perfect_prediction():

@@ -8,20 +8,16 @@ import scipy.sparse.csgraph as csgraph
 
 from specluster.errors import InputError
 from specluster.generate import SbmParams, sample_sbm
-from specluster.graph import from_edges, partitions_into_k_parts
+from specluster.graph import from_edges
 from specluster.kmeans import Partition, kmeans_cost
 from specluster.metrics import ari
-from specluster.pipeline import (
-    C3,
-    SpectralParams,
-    fast_spectral_cluster,
-    kmeans_cost_preservation_check,
-)
+from specluster.pipeline import C3, SpectralParams, fast_spectral_cluster
 from specluster.spectral import (
     SignlessLaplacianOp,
     power_method,
     sample_gaussian_vectors,
 )
+from tests.oracles import kmeans_cost_preservation_check, partitions_into_k_parts
 
 
 def disjoint_cliques(c, size):

@@ -10,8 +10,6 @@ from specluster.graph import from_edges
 from specluster.spectral import (
     EmbeddingMatrix,
     SignlessLaplacianOp,
-    apply_m,
-    dense_signless_laplacian,
     load_embedding,
     pm_k_orthonormal_vectors,
     power_method,
@@ -19,7 +17,7 @@ from specluster.spectral import (
     save_embedding,
     subspace_iteration_eigs,
 )
-from tests.test_graph import random_graph
+from tests.oracles import apply_m, dense_signless_laplacian, random_graph, synthetic_operator
 
 
 def single_edge_op():
@@ -232,9 +230,9 @@ def test_eigs_matches_dense_oracle():
 def test_eigs_values_descending_and_unpacking():
     rng = np.random.default_rng(8)
     g = random_graph(rng, 20, 0.4)
-    values, vectors = subspace_iteration_eigs(SignlessLaplacianOp(g), 3, seed=0)
-    assert np.all(np.diff(values) <= 1e-12)
-    assert vectors.data.shape == (20, 3)
+    res = subspace_iteration_eigs(SignlessLaplacianOp(g), 3, seed=0)
+    assert np.all(np.diff(res.values) <= 1e-12)
+    assert res.vectors.data.shape == (20, 3)
 
 
 def test_eigs_nonconvergence_flagged_not_raised():
@@ -310,15 +308,6 @@ def test_pm_k_rank_deficiency_names_column():
 # synthetic-spectrum approximation property (module-scale version)
 
 
-def synthetic_operator(rng, n, k, delta, tail_max):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    gammas = np.concatenate(
-        [rng.uniform(1 - delta, 1.0, size=k), rng.uniform(0.0, tail_max, size=n - k)]
-    )
-    m = (q * gammas[None, :]) @ q.T
-    return 0.5 * (m + m.T), q[:, :k]
-
-
 def test_power_iterate_close_to_projection_on_synthetic_spectrum():
     n, k, eps, c1 = 100, 5, 0.3, 0.5
     c3 = 1.0 / (2.0 * math.log(1.0 / c1))
@@ -361,6 +350,9 @@ def test_embedding_header_errors(tmp_path):
         load_embedding(path)
     path.write_text("#specluster-embedding n=2 l=2 scaled=0 seed=0\n1.0,2.0\n")
     with pytest.raises(GraphFormatError, match="promises"):
+        load_embedding(path)
+    path.write_text("#specluster-embedding n=1 l=1 scaled=0 seed=0 junk\n1.0\n")
+    with pytest.raises(GraphFormatError, match=r"emb\.csv:1: malformed header"):
         load_embedding(path)
 
 
