@@ -228,7 +228,7 @@ def load_points_csv(path) -> PointCloud:
     all other columns are coordinates, in file order. ``#`` lines are
     skipped anywhere.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         rows = [(lineno, [tok.strip() for tok in line.split(",")])
                 for lineno, line in data_lines(fh)]
     if not rows:

@@ -3,11 +3,13 @@
 File formats handled here:
 
 * Edge list: UTF-8 text, one edge per line, ``u<TAB>v<TAB>w`` with ``w``
-  optional (default 1.0). Lines starting with ``#`` are ignored. Each
-  undirected edge is listed once; the loader symmetrizes. Duplicate edges
-  have their weights summed. Vertex ids are nonnegative integers; a file
-  with any other id (a string or a negative number) gets a bijective id map
-  (order of first appearance) which is returned so callers can persist it.
+  optional (default 1.0). A leading byte-order mark is skipped, here and
+  in every text file this package reads. Lines starting with ``#`` are
+  ignored. Each undirected edge is listed once; the loader symmetrizes.
+  Duplicate edges have their weights summed. Vertex ids are nonnegative
+  integers; a file with any other id (a string or a negative number) gets
+  a bijective id map (order of first appearance) which is returned so
+  callers can persist it.
 * Label file: one integer label per line, non-comment line i is the label
   of vertex i. ``#`` comment lines are skipped.
 """
@@ -95,6 +97,14 @@ class Graph:
             raise InputError("stored degrees disagree with recomputed incident weights")
 
 
+def _isolated_error(first_ids: np.ndarray, count: int) -> InputError:
+    return InputError(
+        f"isolated vertices present: {first_ids.tolist()}"
+        f"{' ...' if count > 8 else ''}; rejected by default "
+        "(pass drop_isolated / --drop-isolated to remove them)"
+    )
+
+
 def from_edges(
     n: int,
     u: Sequence[int],
@@ -125,17 +135,23 @@ def from_edges(
         raise InputError(f"vertex id out of range [0, {n})")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InputError("edge weights must be strictly positive and finite")
-
     loop_mask = u == v
+    if not allow_self_loops and np.any(loop_mask):
+        ids = np.unique(u[loop_mask])[:8]
+        raise InputError(
+            f"self-loops present at vertices {ids.tolist()}; "
+            "rejected by default (pass allow_self_loops / --allow-self-loops "
+            "to fold them into the degree)"
+        )
+    if not drop_isolated and n > u.size + v.size:
+        # Too few endpoints to touch every vertex. Name the isolated ones from
+        # the endpoints alone, since n can be far larger than the input; below
+        # this size the degree check after the build finds them.
+        present = np.unique(np.concatenate([u, v]))
+        first = np.setdiff1d(np.arange(min(n, present.size + 8)), present, assume_unique=True)
+        raise _isolated_error(first[:8], n - present.size)
     self_loops = None
     if np.any(loop_mask):
-        if not allow_self_loops:
-            ids = np.unique(u[loop_mask])[:8]
-            raise InputError(
-                f"self-loops present at vertices {ids.tolist()}; "
-                "rejected by default (pass allow_self_loops / --allow-self-loops "
-                "to fold them into the degree)"
-            )
         self_loops = np.bincount(u[loop_mask], weights=w[loop_mask], minlength=n)
         u, v, w = u[~loop_mask], v[~loop_mask], w[~loop_mask]
 
@@ -156,12 +172,7 @@ def from_edges(
     isolated = degrees == 0
     if np.any(isolated):
         if not drop_isolated:
-            ids = np.flatnonzero(isolated)[:8]
-            raise InputError(
-                f"isolated vertices present: {ids.tolist()}"
-                f"{' ...' if isolated.sum() > 8 else ''}; rejected by default "
-                "(pass drop_isolated / --drop-isolated to remove them)"
-            )
+            raise _isolated_error(np.flatnonzero(isolated)[:8], int(isolated.sum()))
         dropped = np.flatnonzero(isolated).tolist()
         keep = ~isolated
         adj = adj[keep][:, keep]
@@ -247,7 +258,7 @@ def load_edge_list(
 ) -> GraphLoadResult:
     tokens: list[str] = []  # endpoint tokens, two per edge
     ws: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
@@ -325,7 +336,7 @@ def save_edge_list(g: Graph, path, header_comments: Sequence[str] = ()) -> None:
 
 def load_labels(path, expected_n: int | None = None) -> np.ndarray:
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in data_lines(fh):
             try:
                 labels.append(int(line))

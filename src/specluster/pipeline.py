@@ -33,11 +33,9 @@ MODES = ("pm_log_k", "pm_k", "eigs_k", "eigs_log_k")
 
 # Spectral-gap constants: with the tail bounded by c1, a power-method run of
 # t = ceil(c3 * ln(24 n / (eps^2 k))) steps with c3 = 1/(2 ln(1/c1)) damps
-# tail components enough for the eps*sqrt(k) approximation guarantee; c2 is
-# the matching head-eigenvalue requirement scale.
+# tail components enough for the eps*sqrt(k) approximation guarantee.
 C1 = 0.5
 C3 = 1.0 / (2.0 * math.log(1.0 / C1))
-C2 = 1.0 / (2.0 * math.sqrt(6.0) * C3)
 
 _TAG_KMEANS = 2
 

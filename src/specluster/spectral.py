@@ -122,7 +122,7 @@ def save_embedding(em: EmbeddingMatrix, path) -> None:
 
 
 def load_embedding(path) -> EmbeddingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header.startswith(_EMBEDDING_MAGIC):
             raise GraphFormatError(f"{path}:1: missing '{_EMBEDDING_MAGIC}' header")

@@ -15,7 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from specluster.errors import InputError
+from specluster import kmeans
+from specluster.errors import InputError, SpeclusterError
 from specluster.generate import SbmParams
 from specluster.graph import Graph, conductance, from_edges
 from specluster.kmeans import Partition, PointSet, kmeans_cost
@@ -98,6 +99,53 @@ def frobenius_cost_oracle(coords: np.ndarray, labels: np.ndarray, k: int) -> flo
         x[i, lab] = 1.0 / np.sqrt(counts[lab])
     resid = coords - x @ (x.T @ coords)
     return float(np.linalg.norm(resid) ** 2)
+
+
+def cluster_means_bincount(coords: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Cluster means from one weighted ``np.bincount`` per column."""
+    sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in coords.T], axis=1)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    nonempty = counts > 0
+    sums[nonempty] /= counts[nonempty, None]
+    return sums
+
+
+def lloyd_full_reference(points, k, seed, max_iters=100, tol=1e-6, restarts=10) -> Partition:
+    """Restarted Lloyd that assigns every point on every sweep.
+
+    The reference for ``lloyd``, which skips points by distance bounds. It
+    calls ``kmeans.kmeans_cost`` once per sweep through the module, as the
+    library does, so a test can record both cost sequences the same way.
+    """
+    coords = kmeans._point_set(points).coords
+    n = coords.shape[0]
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    sq_norms = np.einsum("ij,ij->i", coords, coords)
+    best_labels = None
+    best_cost = np.inf
+    for r in range(restarts):
+        rng = rng_for(seed, r)
+        centers = coords[kmeans._kmeans_pp_indices(coords, k, rng)].copy()
+        labels = np.zeros(n, dtype=np.int64)
+        prev_cost = np.inf
+        for _ in range(max_iters):
+            new_labels, d2_own = kmeans._assign(coords, sq_norms, centers)
+            kmeans._repair_empty(new_labels, d2_own, k)
+            unchanged = bool(np.array_equal(new_labels, labels)) and np.isfinite(prev_cost)
+            labels = new_labels
+            centers = cluster_means_bincount(coords, labels, k)
+            cost = kmeans.kmeans_cost(coords, Partition(labels=labels, k=k))
+            if not cost <= prev_cost * (1 + 1e-12) + 1e-12:
+                raise SpeclusterError(f"k-means cost increased from {prev_cost!r} to {cost!r}")
+            small_gain = np.isfinite(prev_cost) and prev_cost - cost <= tol * max(prev_cost, 1e-300)
+            prev_cost = cost
+            if unchanged or small_gain:
+                break
+        if r == 0 or prev_cost < best_cost:
+            best_cost = prev_cost
+            best_labels = labels
+    return Partition(labels=best_labels, k=k)
 
 
 def ari_pair_oracle(a, b) -> float:

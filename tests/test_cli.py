@@ -84,6 +84,19 @@ def test_cluster_missing_graph_exits_2(tmp_path, capsys):
     assert "nope.tsv" in capsys.readouterr().err
 
 
+def test_cluster_huge_vertex_id_is_an_input_error(tmp_path, capsys):
+    # Arrays sized by the largest id would need petabytes; the isolated
+    # vertices are named from the endpoints before any of them is allocated.
+    graph = tmp_path / "g.tsv"
+    graph.write_text("0\t1\n1\t2\n0\t1000000000000000\n")
+    out = tmp_path / "run"
+    assert run_cli("cluster", "--graph", graph, "--k", 2, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "isolated vertices present: [3, 4, 5, 6, 7, 8, 9, 10] ...;" in err
+    assert "internal error" not in err
+    assert not (out / "labels.txt").exists()
+
+
 def test_cluster_bad_k_exits_2(triangles_file, tmp_path, capsys):
     assert run_cli("cluster", "--graph", triangles_file, "--k", 1,
                    "--out", tmp_path / "o") == 2

@@ -283,6 +283,27 @@ def test_edge_list_missing_int_id_is_isolated(tmp_path):
     assert res.graph.n == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["0\t1\n1\t2\n2\t0\n", "# c\n0\t1\t2.5\n1\t2\n", "alpha\tb\nb\tc\n"]
+)
+def test_edge_list_byte_order_mark_is_skipped(tmp_path, text):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want, got = load_edge_list(plain), load_edge_list(marked)
+    assert got.id_map == want.id_map
+    assert got.dropped == want.dropped
+    for name in ("row_offsets", "col_indices", "weights", "degrees"):
+        assert np.array_equal(getattr(got.graph, name), getattr(want.graph, name))
+
+
+def test_labels_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("# head\n0\n1\n", encoding="utf-8-sig")
+    assert load_labels(path).tolist() == [0, 1]
+
+
 def test_edge_list_malformed_lines_name_line_number(tmp_path):
     path = tmp_path / "g.tsv"
     path.write_text("0\t1\n0\t1\t2\t3\n")

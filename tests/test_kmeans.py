@@ -14,7 +14,7 @@ from specluster.kmeans import (
     lloyd,
 )
 from specluster.metrics import ari
-from tests.oracles import frobenius_cost_oracle
+from tests.oracles import cluster_means_bincount, frobenius_cost_oracle, lloyd_full_reference
 
 
 def blobs(rng, n_per, centers, sigma):
@@ -73,6 +73,19 @@ def test_cost_invariant_under_translation_and_rotation():
 def test_cost_length_mismatch():
     with pytest.raises(InputError, match="labels"):
         kmeans_cost(np.zeros((3, 2)), Partition(labels=[0, 0], k=1))
+
+
+def test_cluster_means_match_per_column_bincount():
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 21))
+        # k - 1 fits in 8, 16 and 32 bits: the labels sort in each key width
+        k = [int(rng.integers(1, 30)), 300, 70_000][trial % 3]
+        coords = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4)
+        coords[rng.random(n) < 0.1] = -0.0
+        labels = rng.integers(0, k, size=n)  # leaves some clusters empty
+        mine = cluster_means(coords, labels, k)
+        assert mine.tobytes() == cluster_means_bincount(coords, labels, k).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +176,89 @@ def test_assign_matches_one_shot_formula(n):
         assert np.all(labels[tie_rows] == 1)  # tie goes to the lower index
 
 
+@pytest.mark.parametrize("d", [2, 6, 20])
+def test_gathered_rows_give_full_pass_bits(d):
+    # Lloyd recomputes a gathered subset of rows; each must get the bits one
+    # pass over all rows gives it. A single row is padded with a neighbour,
+    # since numpy would multiply it alone through gemv.
+    rng = np.random.default_rng(d)
+    n = 5000
+    coords = 3.0 * rng.standard_normal((n, d))
+    x2 = np.einsum("ij,ij->i", coords, coords)
+    centers = 3.0 * rng.standard_normal((40, d))
+    full = kmeans._sq_dists_to(2.0 * coords, x2, centers)
+    for size in (1, 2, 3, 2049):
+        rows = np.sort(rng.choice(n, size=size, replace=False))
+        if size == 1:
+            rows = np.array([rows[0], rows[0] - 1 if rows[0] else 1])
+        sub = kmeans._sq_dists_to(2.0 * coords[rows], x2[rows], centers)
+        assert sub.tobytes() == full[rows].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Lloyd
+
+
+def _lloyd_cases():
+    """(points, k, seed) inputs that reach every branch of the bounded sweep."""
+    rng = np.random.default_rng(13)
+    coords, _ = blobs(rng, 40, [(0.0, 0.0, 0.0), (6.0, 0.0, 0.0), (0.0, 6.0, 0.0)], sigma=1.5)
+    coords[:-1:7] = coords[1::7]  # duplicated rows
+    yield coords, 5, 0
+    # Integer grid points: many sit exactly as far from two centers.
+    yield rng.integers(0, 4, size=(120, 2)).astype(np.float64), 6, 1
+    few = rng.standard_normal((12, 3))
+    yield few, 1, 2
+    yield few, 12, 3
+    # Small inputs with k near n: clusters empty mid-run, and some sweeps
+    # find exactly one stale row.
+    for seed in range(150):
+        n, d = int(rng.integers(8, 30)), int(rng.integers(1, 4))
+        if seed % 2:
+            pts = rng.integers(0, 5, size=(n, d)).astype(np.float64)
+        else:
+            pts = rng.standard_normal((n, d)) ** 3
+        yield pts, int(rng.integers(2, n)), seed
+
+
+def test_bounded_lloyd_matches_full_assignment_sweep_by_sweep(monkeypatch):
+    costs = []
+    real_cost = kmeans.kmeans_cost
+
+    def recorded_cost(points, part):
+        costs.append(real_cost(points, part))
+        return costs[-1]
+
+    # Count the full sweeps beyond one per restart (empty-cluster fallbacks)
+    # and the sweeps that recompute exactly one row (the padded gather).
+    seen = {"full": 0, "one_row": 0}
+    real_full, real_tight = kmeans._full_sweep, kmeans._tight_bounds
+
+    def full_sweep(*args):
+        seen["full"] += 1
+        return real_full(*args)
+
+    def tight_bounds(d2_own, d2_second, delta):
+        seen["one_row"] += d2_own.size == 1
+        return real_tight(d2_own, d2_second, delta)
+
+    monkeypatch.setattr(kmeans, "kmeans_cost", recorded_cost)
+    monkeypatch.setattr(kmeans, "_full_sweep", full_sweep)
+    monkeypatch.setattr(kmeans, "_tight_bounds", tight_bounds)
+    restarts = 3
+    fallbacks = 0
+    for coords, k, seed in _lloyd_cases():
+        costs.clear()
+        want = lloyd_full_reference(coords, k, seed=seed, restarts=restarts)
+        want_costs = np.array(costs)
+        costs.clear()
+        seen["full"] = 0
+        got = lloyd(coords, k, seed=seed, restarts=restarts)
+        fallbacks += seen["full"] - restarts
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array(costs).tobytes() == want_costs.tobytes()
+    assert fallbacks > 0
+    assert seen["one_row"] > 0
 
 
 def test_lloyd_recovers_separated_blobs():
