@@ -122,7 +122,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "l": result.l,
         "t": result.t,
         "seed": args.seed,
-        "num_dropped_vertices": len(loaded.dropped),
+        "num_dropped_vertices": loaded.num_dropped,
         "cluster_sizes": result.partition.sizes().tolist(),
         "empty_parts": empty,
         "max_conductance": (
@@ -135,9 +135,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     comment = _config_comment(args)
     start = time.perf_counter()
     save_labels(result.partition.labels, out / "labels.txt", header_comments=[comment])
-    input_ids = loaded.input_ids()
-    if input_ids is not None:
-        write_rows(out / "vertices.txt", [f"# {comment}"], "%s\n", input_ids)
+    if loaded.id_map is not None:
+        write_rows(out / "vertices.txt", [f"# {comment}"], "%s\n", loaded.id_map)
     save_embedding(result.embedding, out / "embedding.csv")
     _write_json(out / "report.json", report)
     write_ms = (time.perf_counter() - start) * 1e3
@@ -218,7 +217,7 @@ def bench_instance_params(regime: str, grid_value: int, seed: int) -> SbmParams:
         k = grid_value
         return SbmParams(n=1000 * k, k=k, p=0.04, q=1.0 / (1000 * k), seed=seed)
     n = grid_value
-    return SbmParams(n=n, k=20, p=40.0 / n, q=1.0 / (20 * n), seed=seed)
+    return SbmParams(n=n, k=20, p=800.0 / n, q=1.0 / n, seed=seed)
 
 
 def run_bench(

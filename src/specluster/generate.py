@@ -125,13 +125,13 @@ def sample_sbm(params: SbmParams) -> SbmSample:
                 vs.append(pos % s + bj * s)
     u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
     v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
-    g, dropped = from_edges(params.n, u, v, None, drop_isolated=True)
+    g, kept = from_edges(params.n, u, v, None, drop_isolated=True)
 
     planted = np.repeat(np.arange(params.k, dtype=np.int64), s)
-    if dropped:
-        keep = np.ones(params.n, dtype=bool)
-        keep[dropped] = False
-        planted = planted[keep]
+    dropped: list[int] = []
+    if kept is not None:
+        planted = planted[kept]
+        dropped = np.setdiff1d(np.arange(params.n), kept, assume_unique=True).tolist()
     return SbmSample(
         graph=g,
         planted=Partition(labels=planted, k=params.k),

@@ -97,14 +97,6 @@ class Graph:
             raise InputError("stored degrees disagree with recomputed incident weights")
 
 
-def _isolated_error(first_ids: np.ndarray, count: int) -> InputError:
-    return InputError(
-        f"isolated vertices present: {first_ids.tolist()}"
-        f"{' ...' if count > 8 else ''}; rejected by default "
-        "(pass drop_isolated / --drop-isolated to remove them)"
-    )
-
-
 def from_edges(
     n: int,
     u: Sequence[int],
@@ -113,15 +105,16 @@ def from_edges(
     *,
     allow_self_loops: bool = False,
     drop_isolated: bool = False,
-) -> tuple[Graph, list[int]]:
+) -> tuple[Graph, np.ndarray | None]:
     """Build a Graph from an edge list (each undirected edge given once).
 
     Duplicate edges are summed. Self-loops are rejected unless
     ``allow_self_loops``, in which case their weight is folded into the
     degree (counted once) but not stored in the adjacency. Isolated
     vertices are rejected unless ``drop_isolated``, in which case they are
-    removed and the second return value lists the dropped original ids
-    (vertex ids of the remaining graph are compacted in order).
+    removed, the remaining vertices are renumbered in id order and the
+    second return value holds their original ids (sorted int64); it is None
+    when no vertex was dropped.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -143,13 +136,31 @@ def from_edges(
             "rejected by default (pass allow_self_loops / --allow-self-loops "
             "to fold them into the degree)"
         )
-    if not drop_isolated and n > u.size + v.size:
-        # Too few endpoints to touch every vertex. Name the isolated ones from
-        # the endpoints alone, since n can be far larger than the input; below
-        # this size the degree check after the build finds them.
-        present = np.unique(np.concatenate([u, v]))
-        first = np.setdiff1d(np.arange(min(n, present.size + 8)), present, assume_unique=True)
-        raise _isolated_error(first[:8], n - present.size)
+
+    # A vertex is isolated when it is no edge's endpoint; weights are
+    # positive, so these are exactly the vertices of degree 0. With more
+    # vertices than endpoints, n may be far larger than the input, so the
+    # kept ids come from the endpoints alone and nothing of size n is built.
+    if n <= u.size + v.size:
+        present = np.zeros(n, dtype=bool)
+        present[u] = True
+        present[v] = True
+        kept = None if present.all() else np.flatnonzero(present)
+    else:
+        kept = np.union1d(u, v)
+    if kept is not None:
+        if not drop_isolated:
+            first = np.setdiff1d(np.arange(min(n, kept.size + 8)), kept, assume_unique=True)
+            raise InputError(
+                f"isolated vertices present: {first[:8].tolist()}"
+                f"{' ...' if n - kept.size > 8 else ''}; rejected by default "
+                "(pass drop_isolated / --drop-isolated to remove them)"
+            )
+        if kept.size == 0:
+            raise InputError("graph is empty after dropping isolated vertices")
+        n = int(kept.size)
+        u, v = np.searchsorted(kept, u), np.searchsorted(kept, v)
+
     self_loops = None
     if np.any(loop_mask):
         self_loops = np.bincount(u[loop_mask], weights=w[loop_mask], minlength=n)
@@ -168,21 +179,6 @@ def from_edges(
     if self_loops is not None:
         degrees = degrees + self_loops
 
-    dropped: list[int] = []
-    isolated = degrees == 0
-    if np.any(isolated):
-        if not drop_isolated:
-            raise _isolated_error(np.flatnonzero(isolated)[:8], int(isolated.sum()))
-        dropped = np.flatnonzero(isolated).tolist()
-        keep = ~isolated
-        adj = adj[keep][:, keep]
-        degrees = degrees[keep]
-        if self_loops is not None:
-            self_loops = self_loops[keep]
-        n = int(keep.sum())
-        if n == 0:
-            raise InputError("graph is empty after dropping isolated vertices")
-
     g = Graph(
         n=n,
         row_offsets=adj.indptr.astype(np.int64),
@@ -191,7 +187,7 @@ def from_edges(
         degrees=degrees,
         self_loop_weights=self_loops,
     )
-    return g, dropped
+    return g, kept
 
 
 def _as_vertex_set(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -237,17 +233,8 @@ def conductance(g: Graph, s: Iterable[int]) -> float:
 @dataclass
 class GraphLoadResult:
     graph: Graph
-    id_map: list[str] | None  # id_map[new_id] = original token; None if ids were dense ints
-    dropped: list[int]  # original (pre-remap) ids of dropped isolated vertices
-
-    def input_ids(self) -> list[str] | None:
-        """Input id of each vertex of ``graph``; None when vertex i is input id i."""
-        if self.id_map is not None:
-            return self.id_map
-        if not self.dropped:
-            return None
-        kept = np.delete(np.arange(self.graph.n + len(self.dropped)), self.dropped)
-        return [str(i) for i in kept]
+    id_map: list[str] | None  # id_map[i] = input id of vertex i; None when vertex i is id i
+    num_dropped: int  # isolated vertices removed by drop_isolated
 
 
 def load_edge_list(
@@ -295,11 +282,13 @@ def load_edge_list(
     else:
         id_map = None
         n = int(ids.max()) + 1
-    g, dropped = from_edges(
+    g, kept = from_edges(
         n, ids[0::2], ids[1::2], ws,
         allow_self_loops=allow_self_loops, drop_isolated=drop_isolated,
     )
-    return GraphLoadResult(graph=g, id_map=id_map, dropped=dropped)
+    if kept is not None:  # only integer ids can be absent from the edges
+        id_map = [str(i) for i in kept.tolist()]
+    return GraphLoadResult(graph=g, id_map=id_map, num_dropped=n - g.n)
 
 
 def write_rows(path, header_lines: Iterable[str], fmt: str, *columns) -> None:

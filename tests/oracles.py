@@ -50,8 +50,8 @@ def random_graph(rng, n, p, weighted=False):
             v.append((i + 1) % n)
             present.update((i, (i + 1) % n))
     w = rng.uniform(0.5, 2.0, size=len(u)) if weighted else None
-    g, dropped = from_edges(n, u, v, w)
-    assert not dropped
+    g, kept = from_edges(n, u, v, w)
+    assert kept is None
     return g
 
 

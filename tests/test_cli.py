@@ -62,6 +62,9 @@ def test_cluster_two_triangles(triangles_file, tmp_path, capsys):
     [
         (["0", "1", "2", "5", "6", "7"], ["--drop-isolated"]),  # 3 and 4 are dropped
         (["a", "b", "c", "x", "y", "z"], []),  # string ids
+        # ids up to 10**15: no array is sized by the largest id
+        (["0", "1", "2", "1000000000000000", "1000000000000001", "1000000000000002"],
+         ["--drop-isolated"]),
     ],
 )
 def test_cluster_renumbered_vertices_keep_their_ids(tmp_path, ids, flags):

@@ -75,12 +75,26 @@ def test_self_loops_folded_into_degree_once():
 def test_isolated_rejected_then_dropped_with_remap():
     with pytest.raises(InputError, match="isolated"):
         from_edges(4, [0], [1])
-    g, dropped = from_edges(4, [0, 2], [2, 3], drop_isolated=True)
-    assert dropped == [1]
+    g, kept = from_edges(4, [0, 2], [2, 3], drop_isolated=True)
+    assert kept.tolist() == [0, 2, 3]
     assert g.n == 3
     # old ids 0,2,3 become 0,1,2, keeping the edges 0-2, 2-3
     assert cut_weight(g, [0, 1]) == 1.0
     assert g.degrees.tolist() == [1.0, 2.0, 1.0]
+    # No array is sized by n: 10**15 vertices, three of them endpoints.
+    g, kept = from_edges(10**15, [0, 1], [1, 2], drop_isolated=True)
+    assert g.n == 3
+    assert kept.tolist() == [0, 1, 2]
+
+
+def test_vertex_with_only_a_self_loop_is_not_isolated():
+    g, kept = from_edges(4, [0, 3], [1, 3], allow_self_loops=True, drop_isolated=True)
+    assert kept.tolist() == [0, 1, 3]
+    assert g.n == 3
+    assert g.degrees.tolist() == [1.0, 1.0, 1.0]
+    assert g.self_loop_weights.tolist() == [0.0, 0.0, 1.0]
+    assert g.num_edges == 1
+    g.validate()
 
 
 def test_bad_ids_and_weights_rejected():
@@ -279,7 +293,8 @@ def test_edge_list_missing_int_id_is_isolated(tmp_path):
     with pytest.raises(InputError, match="isolated"):
         load_edge_list(path)
     res = load_edge_list(path, drop_isolated=True)
-    assert res.dropped == [1]
+    assert res.num_dropped == 1
+    assert res.id_map == ["0", "2"]
     assert res.graph.n == 2
 
 
@@ -293,7 +308,7 @@ def test_edge_list_byte_order_mark_is_skipped(tmp_path, text):
     assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
     want, got = load_edge_list(plain), load_edge_list(marked)
     assert got.id_map == want.id_map
-    assert got.dropped == want.dropped
+    assert got.num_dropped == want.num_dropped
     for name in ("row_offsets", "col_indices", "weights", "degrees"):
         assert np.array_equal(getattr(got.graph, name), getattr(want.graph, name))
 
