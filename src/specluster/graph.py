@@ -17,7 +17,7 @@ File formats handled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -33,68 +33,52 @@ _WRITE_BLOCK_ROWS = 4096
 
 @dataclass
 class Graph:
-    """Immutable weighted undirected graph in compressed sparse row form.
+    """Immutable weighted undirected graph, held as one scipy CSR matrix.
 
-    ``degrees[u]`` is the sum of incident edge weights (plus the folded
-    self-loop weight, counted once, if self-loops were allowed at
-    ingestion). All arrays are owned by the instance and must not be
-    mutated; every operation on a constructed Graph is a pure read, so
-    instances are safe to share across threads.
+    ``adj`` is the symmetric adjacency in canonical format (sorted column
+    indices, no duplicate entries) and stores no self-loops. ``degrees[u]``
+    is the sum of incident edge weights (plus the folded self-loop weight,
+    counted once, if self-loops were allowed at ingestion). The CSR views
+    below return ``adj``'s own arrays, which must not be mutated; every
+    operation on a constructed Graph is a pure read, so instances are safe
+    to share across threads.
     """
 
-    n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    weights: np.ndarray
+    adj: sp.csr_matrix
     degrees: np.ndarray
     self_loop_weights: np.ndarray | None = None
-    _edge_src: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @property
+    def row_offsets(self) -> np.ndarray:
+        return self.adj.indptr
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        return self.adj.indices
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.adj.data
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges (self-loops excluded; never stored)."""
-        return int(self.col_indices.size) // 2
+        return int(self.adj.nnz) // 2
 
     @property
     def total_volume(self) -> float:
         return float(self.degrees.sum())
 
     def edge_sources(self) -> np.ndarray:
-        """Row index of every stored (directed) entry, cached after first use."""
-        if self._edge_src is None:
-            counts = np.diff(self.row_offsets)
-            object.__setattr__(self, "_edge_src", np.repeat(np.arange(self.n), counts))
-        return self._edge_src
+        """Row index of every stored (directed) entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.adj.indptr))
 
     def adjacency_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.weights, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
-    def validate(self, rtol: float = 1e-12) -> None:
-        """Check structural invariants; raises InputError on violation."""
-        if self.row_offsets.shape != (self.n + 1,):
-            raise InputError("row_offsets must have length n+1")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise InputError("row_offsets must be nondecreasing")
-        if self.col_indices.size:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.n:
-                raise InputError("col_indices out of range [0, n)")
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
-            raise InputError("edge weights must be strictly positive and finite")
-        src = self.edge_sources()
-        if np.any(src == self.col_indices):
-            raise InputError("self-loops must not be stored in the adjacency")
-        # Symmetry: the multiset of (u, v, w) must equal the multiset of (v, u, w).
-        a = self.adjacency_csr()
-        if (abs(a - a.T)).max() > 0:
-            raise InputError("adjacency is not symmetric")
-        recomputed = np.asarray(a.sum(axis=1)).ravel()
-        if self.self_loop_weights is not None:
-            recomputed = recomputed + self.self_loop_weights
-        scale = np.maximum(np.abs(self.degrees), 1.0)
-        if np.any(np.abs(recomputed - self.degrees) > rtol * scale):
-            raise InputError("stored degrees disagree with recomputed incident weights")
+        return self.adj
 
 
 def from_edges(
@@ -166,28 +150,18 @@ def from_edges(
         self_loops = np.bincount(u[loop_mask], weights=w[loop_mask], minlength=n)
         u, v, w = u[~loop_mask], v[~loop_mask], w[~loop_mask]
 
-    # Symmetrize, then let COO->CSR conversion sum duplicates and sort columns;
-    # the result is independent of the input edge order.
+    # Symmetrize; COO->CSR conversion sums duplicates and sorts each row's
+    # columns, so the result is independent of the input edge order.
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     vals = np.concatenate([w, w])
     adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    adj.sum_duplicates()
-    adj.sort_indices()
 
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     if self_loops is not None:
         degrees = degrees + self_loops
 
-    g = Graph(
-        n=n,
-        row_offsets=adj.indptr.astype(np.int64),
-        col_indices=adj.indices.astype(np.int64),
-        weights=adj.data.astype(np.float64),
-        degrees=degrees,
-        self_loop_weights=self_loops,
-    )
-    return g, kept
+    return Graph(adj=adj, degrees=degrees, self_loop_weights=self_loops), kept
 
 
 def _as_vertex_set(g: Graph, s: Iterable[int]) -> np.ndarray:
@@ -267,6 +241,8 @@ def load_edge_list(
             ws.append(w)
     if not ws:
         raise GraphFormatError(f"{path}: no edges found")
+    weights = np.array(ws, dtype=np.float64)
+    del ws
 
     # Nonnegative integer ids are used directly; anything else switches the
     # whole file to string ids in order of first appearance.
@@ -279,11 +255,15 @@ def load_edge_list(
         index = {tok: i for i, tok in enumerate(id_map)}
         ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
         n = len(id_map)
+        del index
     else:
         id_map = None
         n = int(ids.max()) + 1
+    # The token list is the largest object of a load: free the text before
+    # the graph is built, so that the two never share the memory peak.
+    del tokens
     g, kept = from_edges(
-        n, ids[0::2], ids[1::2], ws,
+        n, ids[0::2], ids[1::2], weights,
         allow_self_loops=allow_self_loops, drop_isolated=drop_isolated,
     )
     if kept is not None:  # only integer ids can be absent from the edges

@@ -77,7 +77,7 @@ class SpectralParams:
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 
-    def num_columns(self, n: int) -> int:
+    def num_columns(self) -> int:
         """Embedding width actually used for this mode."""
         if self.l is not None:
             return self.l
@@ -123,7 +123,7 @@ def fast_spectral_cluster(g: Graph, params: SpectralParams) -> PipelineResult:
     if params.k > g.n:
         raise InputError(f"k={params.k} exceeds the vertex count n={g.n}")
     op = SignlessLaplacianOp(g)
-    cols = params.num_columns(g.n)
+    cols = params.num_columns()
     if cols > g.n:
         raise InputError(f"embedding width l={cols} exceeds n={g.n}")
     steps: int | None = None

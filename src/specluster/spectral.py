@@ -46,7 +46,7 @@ class SignlessLaplacianOp:
         self.graph = graph
         self.n = graph.n
         self.inv_sqrt_degrees = 1.0 / np.sqrt(graph.degrees)
-        self._adj = graph.adjacency_csr()
+        self._adj = graph.adj
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -55,6 +55,31 @@ def random_graph(rng, n, p, weighted=False):
     return g
 
 
+def validate_graph(g: Graph, rtol: float = 1e-12) -> None:
+    """Check a Graph's structural invariants; raises InputError on violation."""
+    a = g.adj
+    if a.indptr.shape != (g.n + 1,):
+        raise InputError("row_offsets must have length n+1")
+    if np.any(np.diff(a.indptr) < 0):
+        raise InputError("row_offsets must be nondecreasing")
+    if a.indices.size:
+        if a.indices.min() < 0 or a.indices.max() >= g.n:
+            raise InputError("col_indices out of range [0, n)")
+    if np.any(a.data <= 0) or not np.all(np.isfinite(a.data)):
+        raise InputError("edge weights must be strictly positive and finite")
+    if np.any(g.edge_sources() == a.indices):
+        raise InputError("self-loops must not be stored in the adjacency")
+    # Symmetry: the multiset of (u, v, w) must equal the multiset of (v, u, w).
+    if (abs(a - a.T)).max() > 0:
+        raise InputError("adjacency is not symmetric")
+    recomputed = np.asarray(a.sum(axis=1)).ravel()
+    if g.self_loop_weights is not None:
+        recomputed = recomputed + g.self_loop_weights
+    scale = np.maximum(np.abs(g.degrees), 1.0)
+    if np.any(np.abs(recomputed - g.degrees) > rtol * scale):
+        raise InputError("stored degrees disagree with recomputed incident weights")
+
+
 def synthetic_operator(rng, n, k, delta, tail_max):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     gammas = np.concatenate(

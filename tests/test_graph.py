@@ -1,7 +1,11 @@
 """Graph construction, cut quantities, brute-force expansion, file I/O."""
 
+import sys
+
 import numpy as np
 import pytest
+
+import specluster.graph
 
 from specluster.errors import (
     GraphFormatError,
@@ -27,6 +31,7 @@ from tests.oracles import (
     partitions_into_k_parts,
     random_graph,
     stirling2,
+    validate_graph,
 )
 
 
@@ -43,6 +48,11 @@ def test_duplicate_edges_sum_weights():
     assert g.num_edges == 1
     assert g.weights.tolist() == [4.0, 4.0]
     assert g.degrees.tolist() == [4.0, 4.0]
+    # Listed in both directions and out of order: still one sorted entry per pair.
+    g, _ = from_edges(3, [2, 1, 0, 1], [0, 0, 1, 2], [1.0, 2.0, 3.0, 4.0])
+    assert g.adj.has_canonical_format
+    assert g.col_indices.tolist() == [1, 2, 0, 2, 0, 1]
+    assert g.weights.tolist() == [5.0, 1.0, 5.0, 4.0, 1.0, 4.0]
 
 
 def test_symmetrization_and_degrees():
@@ -50,7 +60,7 @@ def test_symmetrization_and_degrees():
     a = dense_adjacency(g)
     assert np.array_equal(a, a.T)
     assert g.degrees.tolist() == [2.0, 5.0, 3.0]
-    g.validate()
+    validate_graph(g)
 
 
 def test_edge_order_does_not_matter():
@@ -69,7 +79,7 @@ def test_self_loops_folded_into_degree_once():
     g, _ = from_edges(2, [0, 0], [0, 1], [3.0, 1.0], allow_self_loops=True)
     assert g.num_edges == 1  # loop not stored in the adjacency
     assert g.degrees.tolist() == [4.0, 1.0]
-    g.validate()
+    validate_graph(g)
 
 
 def test_isolated_rejected_then_dropped_with_remap():
@@ -94,7 +104,7 @@ def test_vertex_with_only_a_self_loop_is_not_isolated():
     assert g.degrees.tolist() == [1.0, 1.0, 1.0]
     assert g.self_loop_weights.tolist() == [0.0, 0.0, 1.0]
     assert g.num_edges == 1
-    g.validate()
+    validate_graph(g)
 
 
 def test_bad_ids_and_weights_rejected():
@@ -109,7 +119,7 @@ def test_bad_ids_and_weights_rejected():
 def test_validate_passes_on_random_graphs():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        random_graph(rng, int(rng.integers(3, 30)), 0.3, weighted=True).validate()
+        validate_graph(random_graph(rng, int(rng.integers(3, 30)), 0.3, weighted=True))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,27 @@ def test_edge_list_string_ids_first_appearance(tmp_path):
     res = load_edge_list(path)
     assert res.id_map == ["0", "1", "x"]
     assert res.graph.degrees.tolist() == [1.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("fmt", ["{}\t{}\n", "v{}\tv{}\t2\n"])
+def test_edge_list_text_is_freed_before_the_graph_is_built(tmp_path, monkeypatch, fmt):
+    # The parsed text is the largest object of a load; it must not share
+    # the memory peak with the graph's construction. A path of 50 edges:
+    # no per-edge list or dict but the id map may be alive then.
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(fmt.format(i, i + 1) for i in range(50)))
+    loader_locals = {}
+    real_from_edges = specluster.graph.from_edges
+
+    def spy(*args, **kwargs):
+        loader_locals.update(sys._getframe(1).f_locals)
+        return real_from_edges(*args, **kwargs)
+
+    monkeypatch.setattr(specluster.graph, "from_edges", spy)
+    load_edge_list(path)
+    per_edge = [name for name, value in loader_locals.items()
+                if isinstance(value, (list, dict)) and len(value) >= 50]
+    assert per_edge == (["id_map"] if fmt.startswith("v") else [])
 
 
 def test_edge_list_negative_ids_treated_as_strings(tmp_path):

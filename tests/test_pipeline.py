@@ -38,10 +38,10 @@ def disjoint_cliques(c, size):
 
 def test_default_l_and_t():
     p = SpectralParams(k=2)
-    assert p.num_columns(1000) == 1
+    assert p.num_columns() == 1
     assert p.num_steps(1000) == math.ceil(10 * math.log(500))
     p = SpectralParams(k=20)
-    assert p.num_columns(20_000) == 5
+    assert p.num_columns() == 5
     assert p.num_steps(20_000) == math.ceil(10 * math.log(1000))
     # tiny n/k falls back to the floor inside the log
     assert SpectralParams(k=5).num_steps(6) == math.ceil(10 * math.log(2))
@@ -49,17 +49,17 @@ def test_default_l_and_t():
 
 def test_epsilon_derived_l_and_t():
     p = SpectralParams(k=4, epsilon=0.5)
-    assert p.num_columns(200) == 4  # ceil((2+1)/0.25) = 12, capped at k
+    assert p.num_columns() == 4  # ceil((2+1)/0.25) = 12, capped at k
     assert p.num_steps(200) == math.ceil(C3 * math.log(24 * 200 / (0.25 * 4)))
-    assert SpectralParams(k=64, epsilon=1.0).num_columns(10_000) == 6
+    assert SpectralParams(k=64, epsilon=1.0).num_columns() == 6
 
 
 def test_mode_specific_column_counts():
-    assert SpectralParams(k=20, mode="pm_k").num_columns(1000) == 20
-    assert SpectralParams(k=20, mode="eigs_k").num_columns(1000) == 20
-    assert SpectralParams(k=20, mode="eigs_log_k").num_columns(1000) == 5
-    assert SpectralParams(k=20, mode="eigs_log_k", epsilon=0.3).num_columns(1000) == 5
-    assert SpectralParams(k=20, mode="pm_k", l=7).num_columns(1000) == 7
+    assert SpectralParams(k=20, mode="pm_k").num_columns() == 20
+    assert SpectralParams(k=20, mode="eigs_k").num_columns() == 20
+    assert SpectralParams(k=20, mode="eigs_log_k").num_columns() == 5
+    assert SpectralParams(k=20, mode="eigs_log_k", epsilon=0.3).num_columns() == 5
+    assert SpectralParams(k=20, mode="pm_k", l=7).num_columns() == 7
 
 
 def test_params_validation():
@@ -146,7 +146,7 @@ def test_degree_scaling_applied_entrywise():
     res = fast_spectral_cluster(g, params)
     op = SignlessLaplacianOp(g)
     raw = power_method(
-        op, sample_gaussian_vectors(g.n, params.num_columns(g.n), 5).data,
+        op, sample_gaussian_vectors(g.n, params.num_columns(), 5).data,
         params.num_steps(g.n),
     )
     expected = raw / np.sqrt(g.degrees)[:, None]

@@ -83,6 +83,13 @@ def test_apply_m_length_mismatch():
         apply_m(single_edge_op(), np.zeros(3))
 
 
+def test_operator_reads_the_graph_in_place():
+    g = random_graph(np.random.default_rng(4), 30, 0.3, weighted=True)
+    op = SignlessLaplacianOp(g)
+    assert np.shares_memory(op._adj.indices, g.col_indices)
+    assert np.shares_memory(op._adj.data, g.weights)
+
+
 # ---------------------------------------------------------------------------
 # power method
 
