@@ -88,17 +88,22 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _load_graph(args: argparse.Namespace):
+    """The ``--graph`` edge list, read under the loader flags both commands share."""
+    return load_edge_list(
+        args.graph,
+        allow_self_loops=args.allow_self_loops,
+        drop_isolated=args.drop_isolated,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    loaded = load_edge_list(
-        args.graph,
-        allow_self_loops=args.allow_self_loops,
-        drop_isolated=args.drop_isolated,
-    )
+    loaded = _load_graph(args)
     parse_ms = (time.perf_counter() - start) * 1e3
     g = loaded.graph
     params = SpectralParams(
@@ -178,7 +183,7 @@ def cmd_knn_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    loaded = load_edge_list(args.graph)
+    loaded = _load_graph(args)
     g = loaded.graph
     predicted = Partition.from_labels(load_labels(args.labels, expected_n=g.n))
     truth = Partition.from_labels(load_labels(args.truth, expected_n=g.n))
@@ -343,6 +348,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
+def _add_loader_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--allow-self-loops", action="store_true",
+                   help="fold self-loop weight into the degree instead of failing")
+    p.add_argument("--drop-isolated", action="store_true",
+                   help="drop zero-degree vertices instead of failing")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="specluster",
@@ -359,10 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accuracy in (0,1]; derives l and t when set")
     c.add_argument("--l", type=int, default=None, help="embedding width override")
     c.add_argument("--t", type=int, default=None, help="power-method steps override")
-    c.add_argument("--allow-self-loops", action="store_true",
-                   help="fold self-loop weight into the degree instead of failing")
-    c.add_argument("--drop-isolated", action="store_true",
-                   help="drop zero-degree vertices instead of failing")
+    _add_loader_flags(c)
     _add_common(c)
     c.set_defaults(func=cmd_cluster)
 
@@ -384,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--graph", required=True)
     ev.add_argument("--labels", required=True, help="predicted labels, one per line")
     ev.add_argument("--truth", required=True, help="reference labels, one per line")
+    _add_loader_flags(ev)
     _add_common(ev)
     ev.set_defaults(func=cmd_evaluate)
 

@@ -17,6 +17,7 @@ File formats handled here:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -211,59 +212,110 @@ class GraphLoadResult:
     num_dropped: int  # isolated vertices removed by drop_isolated
 
 
+def _load_bulk(path) -> np.ndarray | None:
+    """The whole edge list from one ``np.loadtxt`` call, or None.
+
+    Returns a structured array with int64 fields ``u`` and ``v`` and, when
+    the first data line has three fields, a float64 field ``w``. Ids are
+    parsed as integers, never through a float. None means that
+    ``load_edge_list``'s line loop must read the file, which then gives its
+    own result or ``path:lineno`` error. That happens when ``path`` is not a
+    regular file, when loadtxt cannot parse every line at the first line's
+    field count (a string id, a ``#`` line after the first data line, mixed
+    field counts, an id beyond int64, ...), when an id is negative (the file
+    then has string ids), or when a weight is outside ``(0, inf)``.
+    """
+    # Only a regular file can be read again by loadtxt and then by the loop;
+    # a pipe such as ``--graph <(zcat g.tsv.gz)`` yields its bytes once.
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for skip, line in enumerate(fh):
+                parts = line.split()
+                if parts and not parts[0].startswith("#"):
+                    break
+            else:
+                return None
+        if len(parts) not in (2, 3):
+            return None
+        dtype = [("u", np.int64), ("v", np.int64)] + [("w", np.float64)] * (len(parts) == 3)
+        # comments=None: with "#", loadtxt would accept "0 1 1 # c", which the
+        # loop rejects for its five fields.
+        table = np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip,
+                           encoding="utf-8-sig", ndmin=1)
+    except ValueError:  # UnicodeDecodeError included: the loop raises its own
+        return None
+    if min(table["u"].min(), table["v"].min()) < 0:
+        return None
+    if len(parts) == 3 and not np.all((table["w"] > 0.0) & (table["w"] < math.inf)):
+        return None
+    return table
+
+
 def load_edge_list(
     path,
     *,
     allow_self_loops: bool = False,
     drop_isolated: bool = False,
 ) -> GraphLoadResult:
-    tokens: list[str] = []  # endpoint tokens, two per edge
-    ws: list[float] = []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'u<TAB>v[<TAB>w]', got {len(parts)} fields"
-                )
-            w = 1.0
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphFormatError(f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-                if not 0.0 < w < math.inf:
-                    raise GraphFormatError(f"{path}:{lineno}: weight must be positive, got {w}")
-            tokens.append(parts[0])
-            tokens.append(parts[1])
-            ws.append(w)
-    if not ws:
-        raise GraphFormatError(f"{path}: no edges found")
-    weights = np.array(ws, dtype=np.float64)
-    del ws
-
-    # Nonnegative integer ids are used directly; anything else switches the
-    # whole file to string ids in order of first appearance.
-    try:
-        ids = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
-    except (ValueError, OverflowError):
-        ids = None
-    if ids is None or ids.min() < 0:
-        id_map = list(dict.fromkeys(tokens))
-        index = {tok: i for i, tok in enumerate(id_map)}
-        ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        n = len(id_map)
-        del index
+    id_map = None
+    table = _load_bulk(path)
+    if table is not None:
+        # Field views of the table: from_edges reads them without a copy.
+        u, v = table["u"], table["v"]
+        weights = table["w"] if "w" in table.dtype.names else None
     else:
-        id_map = None
-        n = int(ids.max()) + 1
-    # The token list is the largest object of a load: free the text before
-    # the graph is built, so that the two never share the memory peak.
-    del tokens
+        tokens: list[str] = []  # endpoint tokens, two per edge
+        ws: list[float] = []
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                if len(parts) not in (2, 3):
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: expected 'u<TAB>v[<TAB>w]', got {len(parts)} fields"
+                    )
+                w = 1.0
+                if len(parts) == 3:
+                    try:
+                        w = float(parts[2])
+                    except ValueError:
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: bad weight {parts[2]!r}"
+                        ) from None
+                    if not 0.0 < w < math.inf:
+                        raise GraphFormatError(f"{path}:{lineno}: weight must be positive, got {w}")
+                tokens.append(parts[0])
+                tokens.append(parts[1])
+                ws.append(w)
+        if not ws:
+            raise GraphFormatError(f"{path}: no edges found")
+        weights = np.array(ws, dtype=np.float64)
+        del ws
+
+        # Nonnegative integer ids are used directly; anything else switches the
+        # whole file to string ids in order of first appearance.
+        try:
+            ids = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+        except (ValueError, OverflowError):
+            ids = None
+        if ids is None or ids.min() < 0:
+            id_map = list(dict.fromkeys(tokens))
+            index = {tok: i for i, tok in enumerate(id_map)}
+            ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+            del index
+        # The token list is the largest object of a load: free the text before
+        # the graph is built, so that the two never share the memory peak.
+        del tokens
+        u, v = ids[0::2], ids[1::2]
+
+    # String ids number every endpoint, so n is the largest index plus one
+    # for them as for integer ids.
+    n = int(max(u.max(), v.max())) + 1
     g, kept = from_edges(
-        n, ids[0::2], ids[1::2], weights,
+        n, u, v, weights,
         allow_self_loops=allow_self_loops, drop_isolated=drop_isolated,
     )
     if kept is not None:  # only integer ids can be absent from the edges

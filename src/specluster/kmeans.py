@@ -103,12 +103,19 @@ def cluster_means(coords: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def kmeans_cost(points, part: Partition) -> float:
-    """Sum of squared distances from each point to its own cluster mean."""
+def kmeans_cost(points, part: Partition, means: np.ndarray | None = None) -> float:
+    """Sum of squared distances from each point to its own cluster mean.
+
+    ``means``, when given, must be ``cluster_means`` of these points and
+    labels; a caller that has just computed them passes them to save the
+    second computation.
+    """
     coords = _point_set(points).coords
     if part.n != coords.shape[0]:
         raise InputError(f"partition has {part.n} labels for {coords.shape[0]} points")
-    diff = np.take(cluster_means(coords, part.labels, part.k), part.labels, axis=0)
+    if means is None:
+        means = cluster_means(coords, part.labels, part.k)
+    diff = np.take(means, part.labels, axis=0)
     np.subtract(coords, diff, out=diff)
     return float(np.einsum("ij,ij->", diff, diff))
 
@@ -351,7 +358,7 @@ def lloyd(
             labels = new_labels
             prev_centers = centers
             centers = cluster_means(coords, labels, k)
-            cost = kmeans_cost(pts, Partition(labels=labels, k=k))
+            cost = kmeans_cost(pts, Partition(labels=labels, k=k), means=centers)
             if not cost <= prev_cost * (1 + 1e-12) + 1e-12:
                 raise SpeclusterError(f"k-means cost increased from {prev_cost!r} to {cost!r}")
             small_gain = np.isfinite(prev_cost) and prev_cost - cost <= tol * max(prev_cost, 1e-300)

@@ -38,7 +38,7 @@ from specluster.kmeans import PointSet  # noqa: E402
 MANIFEST = Path(__file__).with_name("golden.json")
 RECORD_COMMAND = "python tests/golden.py --record"
 
-_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 _CLUSTER_OUT = ("labels.txt", "embedding.csv", "report.json")
 _SBM_OUT = ("graph.tsv", "labels.txt", "meta.jsonl")
 
@@ -97,7 +97,7 @@ def run_all(root: Path) -> dict[str, str]:
     package_parent = str(Path(specluster.__file__).resolve().parents[1])
     env = {
         **os.environ,
-        **_BLAS_ENV,
+        **BLAS_ENV,
         "PYTHONPATH": os.pathsep.join(filter(None, [package_parent, os.environ.get("PYTHONPATH")])),
     }
     digests = {"points.csv": sha256_file(root / "points.csv")}

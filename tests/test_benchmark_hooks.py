@@ -1,23 +1,33 @@
-"""The benchmark's tracer still sees every call it counts.
+"""The benchmark's tracer still sees every call it counts, and its gate holds.
 
 ``perfbench/tracing.py`` swaps names in the modules' namespaces for counting
 wrappers. A refactor that stops calling through one of those names would make
 ``--trace 1`` report wrong counts without failing; these tests catch it. They
-also check that every name ``perfbench/`` imports from the package still exists.
+also check that every name ``perfbench/`` imports from the package still exists,
+and run the benchmark's output check at a small size: a ``cluster`` child on
+the written edge list must label the vertices as the in-process call on the
+sampled graph does.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import specluster.graph
 from specluster.cli import main
-from specluster.graph import save_edge_list
+from specluster.generate import SbmParams, sample_sbm
+from specluster.graph import load_edge_list, load_labels, save_edge_list
 from specluster.kmeans import lloyd
+from specluster.pipeline import SpectralParams, fast_spectral_cluster
+from tests.golden import BLAS_ENV
 from tests.test_pipeline import disjoint_cliques
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,3 +87,40 @@ def test_perfbench_imports_resolve():
     assert imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("k, mode", [(4, "pm_log_k"), (20, "eigs_k")])
+def test_child_labels_match_in_process_call(tmp_path, monkeypatch, k, mode):
+    # The benchmark fails a run whose child, which clusters the graph parsed
+    # from the file, labels the vertices differently from the in-process
+    # call on the sampled graph. So the parsed CSR must be the sampled one,
+    # bit for bit and dtypes included, and it must come from the bulk path.
+    sample = sample_sbm(SbmParams(n=5000, k=k, p=0.04, q=1.0 / 5000, seed=0))
+    assert not sample.dropped
+    path = tmp_path / "input.tsv"
+    save_edge_list(sample.graph, path)
+
+    real_bulk = specluster.graph._load_bulk
+    bulk_rows = []
+
+    def spy(p):
+        table = real_bulk(p)
+        bulk_rows.append(None if table is None else table.size)
+        return table
+
+    monkeypatch.setattr(specluster.graph, "_load_bulk", spy)
+    parsed = load_edge_list(path)
+    assert bulk_rows == [sample.graph.num_edges]
+    assert parsed.id_map is None and parsed.num_dropped == 0
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(parsed.graph.adj, name), getattr(sample.graph.adj, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(parsed.graph.degrees, sample.graph.degrees)
+
+    out = tmp_path / "run"
+    cmd = [sys.executable, "-m", "specluster.cli", "cluster", "--graph", str(path),
+           "--k", str(k), "--mode", mode, "--seed", "0", "--out", str(out)]
+    proc = subprocess.run(cmd, env={**os.environ, **BLAS_ENV}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    want = fast_spectral_cluster(sample.graph, SpectralParams(k=k, mode=mode, seed=0))
+    assert np.array_equal(load_labels(out / "labels.txt"), want.partition.labels)

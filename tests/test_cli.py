@@ -29,6 +29,13 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def write_two_triangles(path, ids):
+    """Triangles on ids[0:3] and ids[3:6]; returns ``path``."""
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    path.write_text("".join(f"{ids[a]}\t{ids[b]}\n" for a, b in triangles))
+    return path
+
+
 # ---------------------------------------------------------------------------
 # cluster
 
@@ -68,9 +75,7 @@ def test_cluster_two_triangles(triangles_file, tmp_path, capsys):
     ],
 )
 def test_cluster_renumbered_vertices_keep_their_ids(tmp_path, ids, flags):
-    graph = tmp_path / "g.tsv"
-    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    graph.write_text("".join(f"{ids[a]}\t{ids[b]}\n" for a, b in triangles))
+    graph = write_two_triangles(tmp_path / "g.tsv", ids)
     out = tmp_path / "run"
     assert run_cli("cluster", "--graph", graph, "--k", 2, *flags, "--out", out) == 0
     header, *vertices = (out / "vertices.txt").read_text().splitlines()
@@ -211,6 +216,27 @@ def test_evaluate_wrong_length_exits_2(triangles_file, tmp_path, capsys):
                    "--truth", pred, "--out", tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "3 labels" in err and "6 vertices" in err
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        ["0", "1", "2", "5", "6", "7"],  # 3 and 4 are absent
+        ["0", "1", "2", "1000000000000000", "1000000000000001", "1000000000000002"],
+    ],
+)
+def test_evaluate_scores_a_drop_isolated_run(tmp_path, capsys, ids):
+    graph = write_two_triangles(tmp_path / "g.tsv", ids)
+    run = tmp_path / "run"
+    assert run_cli("cluster", "--graph", graph, "--k", 2, "--drop-isolated", "--out", run) == 0
+    truth = tmp_path / "truth.txt"  # one label per kept vertex, in vertices.txt order
+    save_labels(np.array([0, 0, 0, 1, 1, 1]), truth)
+    argv = ["evaluate", "--graph", graph, "--labels", run / "labels.txt", "--truth", truth]
+    assert run_cli(*argv, "--out", tmp_path / "strict") == 2  # the graph has isolated ids
+    assert "isolated vertices present" in capsys.readouterr().err
+    assert run_cli(*argv, "--drop-isolated", "--out", tmp_path / "eval") == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert report["ari"] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph construction, cut quantities, brute-force expansion, file I/O."""
 
+import os
 import sys
 
 import numpy as np
@@ -365,6 +366,91 @@ def test_edge_list_malformed_lines_name_line_number(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(GraphFormatError, match="no edges"):
         load_edge_list(path)
+
+
+# (name, file bytes, whether np.loadtxt parses the file). The line loop
+# reads every file; the bulk path must give the same result or error.
+_BULK, _LOOP = True, False
+_EXTREMES = (5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1.7976931348623157e308)
+_PARSE_CASES = [
+    ("bom_crlf_blank_header",
+     b"\xef\xbb\xbf# header\r\n\r\n0\t1\t1.5\r\n  \r\n1\t2\t2.5\r\n2\t0\t1\r\n", _BULK),
+    ("two_fields", b"0\t1\n1\t2\n2\t0\n", _BULK),
+    ("three_fields", b"0\t1\t0.5\n1\t2\t2\n2\t0\t3e-3\n", _BULK),
+    ("mixed_fields", b"0\t1\n1\t2\t2.0\n2\t0\n", _LOOP),
+    ("hash_mid_file", b"0\t1\n# mid\n1\t2\n2\t0\n", _LOOP),
+    ("hash_after_weight", b"0\t1\t1 # c\n1\t2\t1\n", _LOOP),
+    ("string_ids", b"a\tb\nb\tc\nc\ta\n", _LOOP),
+    ("negative_ids", b"-1\t0\n0\t1\n1\t-1\n", _LOOP),
+    ("plus_and_leading_zero", b"+5\t03\n03\t4\n4\t+5\n", _BULK),
+    ("exponent_id", b"0\t1e3\n1e3\t2\n2\t0\n", _LOOP),
+    ("decimal_id", b"0\t1.0\n1.0\t2\n2\t0\n", _LOOP),
+    ("underscore_id", b"1_0\t0\n0\t1\n1\t1_0\n", _LOOP),
+    ("id_2_63", b"0\t9223372036854775808\n0\t1\n", _LOOP),
+    ("id_2_63_minus_1", b"0\t9223372036854775807\n0\t1\n", _BULK),
+    ("weight_zero", b"0\t1\t1\n1\t2\t0\n", _LOOP),
+    ("weight_negative", b"0\t1\t1\n1\t2\t-1.5\n", _LOOP),
+    ("weight_nan", b"0\t1\t1\n1\t2\tnan\n", _LOOP),
+    ("weight_inf", b"0\t1\t1\n1\t2\tinf\n", _LOOP),
+    ("weight_underscore", b"0\t1\t1\n1\t2\t1_0\n", _LOOP),
+    ("weight_extremes",
+     "".join(f"{i}\t{i + 1}\t{w:.17g}\n" for i, w in enumerate(_EXTREMES)).encode(), _BULK),
+    ("vt_ff_whitespace", b"0\x0b1\n1\x0c2\n2\t0\n", _BULK),
+    ("self_loop", b"0\t0\t2\n0\t1\n1\t2\n", _LOOP),
+    ("self_loop_weighted", b"0\t0\t2\n0\t1\t1\n1\t2\t1\n", _BULK),
+    ("comments_only", b"# only\n\n# more\n", _LOOP),
+    ("one_field", b"0\n", _LOOP),
+]
+
+
+def _load_outcome(path, **flags):
+    """Everything load_edge_list gives, or the exception it raises, as plain values."""
+    try:
+        res = load_edge_list(path, **flags)
+    except Exception as e:
+        return type(e), str(e)
+    g = res.graph
+    arrays = [g.adj.indptr, g.adj.indices, g.adj.data, g.degrees, g.self_loop_weights]
+    return ([None if a is None else (a.dtype.str, a.tobytes()) for a in arrays],
+            res.id_map, res.num_dropped)
+
+
+@pytest.mark.parametrize("drop_isolated", [False, True])
+@pytest.mark.parametrize("allow_self_loops", [False, True])
+@pytest.mark.parametrize("name, data, bulk", _PARSE_CASES, ids=[c[0] for c in _PARSE_CASES])
+def test_bulk_parse_matches_line_loop(tmp_path, monkeypatch, name, data, bulk,
+                                      allow_self_loops, drop_isolated):
+    path = tmp_path / f"{name}.tsv"
+    path.write_bytes(data)
+    flags = {"allow_self_loops": allow_self_loops, "drop_isolated": drop_isolated}
+    real_bulk = specluster.graph._load_bulk
+    taken = []
+
+    def spy(p):
+        table = real_bulk(p)
+        taken.append(table is not None)
+        return table
+
+    monkeypatch.setattr(specluster.graph, "_load_bulk", spy)
+    got = _load_outcome(path, **flags)
+    assert taken == [bulk]
+    monkeypatch.setattr(specluster.graph, "_load_bulk", lambda p: None)  # the loop only
+    assert got == _load_outcome(path, **flags)
+
+
+def test_edge_list_from_a_pipe_is_read_once(tmp_path):
+    # A pipe yields its bytes once, so only the line loop may read it.
+    text = "".join(f"{i}\t{i + 1}\n" for i in range(4000))  # several read buffers
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "w") as fh:  # 38 KB: fits in the pipe's buffer
+        fh.write(text)
+    try:
+        got = _load_outcome(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    assert got == _load_outcome(path)
 
 
 def test_labels_round_trip_and_validation(tmp_path):

@@ -225,8 +225,10 @@ def test_bounded_lloyd_matches_full_assignment_sweep_by_sweep(monkeypatch):
     costs = []
     real_cost = kmeans.kmeans_cost
 
-    def recorded_cost(points, part):
-        costs.append(real_cost(points, part))
+    # lloyd passes the means it has just computed; the oracle passes none,
+    # so equal cost bytes also show that the passed means change no bit.
+    def recorded_cost(points, part, means=None):
+        costs.append(real_cost(points, part, means))
         return costs[-1]
 
     # Count the full sweeps beyond one per restart (empty-cluster fallbacks)
@@ -345,7 +347,8 @@ def test_lloyd_input_validation():
 
 def test_lloyd_rising_cost_is_an_error(monkeypatch):
     costs = iter(range(1, 1000))
-    monkeypatch.setattr(kmeans, "kmeans_cost", lambda points, part: float(next(costs)))
+    monkeypatch.setattr(kmeans, "kmeans_cost",
+                        lambda points, part, means=None: float(next(costs)))
     rng = np.random.default_rng(10)
     with pytest.raises(SpeclusterError, match="from 1.0 to 2.0"):
         lloyd(rng.standard_normal((20, 2)), 3, seed=0, restarts=1)
