@@ -38,7 +38,7 @@ _BENCH_STAGES = ("embed", "scale", "kmeans", "total")
 
 
 def _resolve_common(args: argparse.Namespace) -> None:
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         raw = os.environ.get(ENV_SEED, "0")
         try:
             args.seed = int(raw)
@@ -46,7 +46,7 @@ def _resolve_common(args: argparse.Namespace) -> None:
             raise InputError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
     if args.seed < 0:
         raise InputError(f"seed must be nonnegative, got {args.seed}")
-    if getattr(args, "threads", None) is None:
+    if args.threads is None:
         args.threads = os.cpu_count() or 1
     if args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
@@ -418,10 +418,7 @@ def main(argv=None) -> int:
     try:
         _resolve_common(args)
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InputError as e:
+    except (FileNotFoundError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SpeclusterError as e:

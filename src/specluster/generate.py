@@ -123,8 +123,7 @@ def sample_sbm(params: SbmParams) -> SbmSample:
                 pos = _bernoulli_positions(rng, s * s, params.q)
                 us.append(pos // s + bi * s)
                 vs.append(pos % s + bj * s)
-    u = np.concatenate(us) if us else np.empty(0, dtype=np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, dtype=np.int64)
+    u, v = np.concatenate(us), np.concatenate(vs)
     g, kept = from_edges(params.n, u, v, None, drop_isolated=True)
 
     planted = np.repeat(np.arange(params.k, dtype=np.int64), s)

@@ -271,29 +271,20 @@ def _loosen(upper, lower, labels, centers, prev_centers) -> None:
     lower *= _ROUND_DOWN
 
 
-def _full_sweep(coords, sq_norms, centers, delta, k):
-    """Assign every point, repair empty clusters and rebuild all bounds."""
-    d2_second = np.empty(coords.shape[0])
-    labels, d2_own = _assign(coords, sq_norms, centers, d2_second)
-    upper, lower = _tight_bounds(d2_own, d2_second, delta)
-    nearest = labels.copy()
-    _repair_empty(labels, d2_own, k)
-    # A promoted point's bounds refer to its old center: lower = 0 forces
-    # its recomputation next sweep.
-    lower[labels != nearest] = 0.0
-    return labels, upper, lower
-
-
-def _bounded_sweep(coords, sq_norms, centers, delta, labels, upper, lower) -> np.ndarray:
+def _sweep(coords, sq_norms, centers, delta, labels, upper, lower) -> np.ndarray:
     """New labels, recomputing only the points whose bounds allow a move.
 
-    The recomputed points get fresh bounds, in place.
+    The recomputed points get fresh bounds, in place. A point with
+    ``lower == 0`` is always recomputed. If a cluster comes out empty, every
+    point is recomputed, since the repair needs every computed distance.
     """
-    stale = np.flatnonzero(~((lower > 0) & (upper * upper + 2.0 * delta < lower * lower)))
+    n, k = coords.shape[0], centers.shape[0]
     labels = labels.copy()
-    if stale.size:
+    stale = np.flatnonzero(~((lower > 0) & (upper * upper + 2.0 * delta < lower * lower)))
+    # The second pass, over every point, runs only if a cluster is empty.
+    for stale in (stale, np.arange(n)):
         rows = stale
-        if stale.size == 1 and coords.shape[0] > 1:
+        if stale.size == 1 and n > 1:
             # One row would go through gemv; pad it with a neighbour.
             rows = np.array([stale[0], stale[0] - 1 if stale[0] else 1])
         d2_second = np.empty(rows.size)
@@ -301,6 +292,12 @@ def _bounded_sweep(coords, sq_norms, centers, delta, labels, upper, lower) -> np
         m = stale.size
         labels[stale] = nearest[:m]
         upper[stale], lower[stale] = _tight_bounds(d2_own[:m], d2_second[:m], delta[stale])
+        if np.bincount(labels, minlength=k).min() > 0:
+            return labels
+    _repair_empty(labels, d2_own, k)
+    # A promoted point's bounds refer to its old center: lower = 0 forces
+    # its recomputation next sweep.
+    lower[labels != nearest] = 0.0
     return labels
 
 
@@ -320,9 +317,9 @@ def lloyd(
     stops changing, or ``max_iters`` is hit. The per-iteration cost is
     nonincreasing; a rise raises SpeclusterError.
 
-    After a restart's first sweep, a point is recomputed only when its
-    distance bounds allow it to change label; the labels are bitwise
-    those of assigning every point (see the comment above ``_ROUND_UP``).
+    A point is recomputed only when its distance bounds allow it to change
+    label, or when a cluster empties; the labels are bitwise those of
+    assigning every point (see the comment above ``_ROUND_UP``).
     """
     pts = _point_set(points)
     coords = pts.coords
@@ -343,17 +340,13 @@ def lloyd(
         rng = rng_for(seed, r)
         centers = coords[_kmeans_pp_indices(coords, k, rng)].copy()
         labels = np.zeros(n, dtype=np.int64)
+        # Bounds that rule nothing out: the first sweep recomputes every point.
+        upper, lower, prev_centers = np.full(n, np.inf), np.zeros(n), centers
         prev_cost = np.inf
-        for sweep in range(max_iters):
+        for _ in range(max_iters):
             delta = margin * (norms + np.sqrt(np.einsum("ij,ij->i", centers, centers).max())) ** 2
-            if sweep == 0:
-                new_labels, upper, lower = _full_sweep(coords, sq_norms, centers, delta, k)
-            else:
-                _loosen(upper, lower, labels, centers, prev_centers)
-                new_labels = _bounded_sweep(coords, sq_norms, centers, delta, labels, upper, lower)
-                if np.bincount(new_labels, minlength=k).min() == 0:
-                    # The repair needs every point's computed distance.
-                    new_labels, upper, lower = _full_sweep(coords, sq_norms, centers, delta, k)
+            _loosen(upper, lower, labels, centers, prev_centers)
+            new_labels = _sweep(coords, sq_norms, centers, delta, labels, upper, lower)
             unchanged = bool(np.array_equal(new_labels, labels)) and np.isfinite(prev_cost)
             labels = new_labels
             prev_centers = centers

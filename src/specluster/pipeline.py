@@ -138,8 +138,11 @@ def fast_spectral_cluster(g: Graph, params: SpectralParams) -> PipelineResult:
         steps = params.num_steps(g.n)
         raw = pm_k_orthonormal_vectors(op, cols, steps, params.seed).data
     else:
-        res = subspace_iteration_eigs(op, cols, seed=params.seed)
-        raw = res.vectors.data
+        # A block narrower than k has no spectral gap to converge on when the
+        # graph has k near-equal top eigenvalues, so solve for k and keep the
+        # first cols Ritz vectors.
+        res = subspace_iteration_eigs(op, max(params.k, cols), seed=params.seed)
+        raw = res.vectors.data[:, :cols]
         converged = res.converged
         eigs_iters = res.iterations
     t1 = time.perf_counter()

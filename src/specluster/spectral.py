@@ -43,7 +43,6 @@ class SignlessLaplacianOp:
     """
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.n = graph.n
         self.inv_sqrt_degrees = 1.0 / np.sqrt(graph.degrees)
         self._adj = graph.adj
@@ -255,5 +254,4 @@ def pm_k_orthonormal_vectors(
         )
     # Fix signs so the factorization is unique: make each R diagonal positive.
     signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
     return EmbeddingMatrix(data=q * signs[None, :], scaled=False, seed=seed)

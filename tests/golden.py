@@ -63,6 +63,8 @@ CASES = (
      _CLUSTER_OUT),
     ("sbm6_eigs_k", ["cluster", "--graph", "sbm6/graph.tsv", "--k", "6", "--mode", "eigs_k"],
      _CLUSTER_OUT),
+    ("sbm6_eigs_log_k",
+     ["cluster", "--graph", "sbm6/graph.tsv", "--k", "6", "--mode", "eigs_log_k"], _CLUSTER_OUT),
     ("gap", ["cluster", "--graph", "gap.tsv", "--k", "2", "--drop-isolated"],
      (*_CLUSTER_OUT, "vertices.txt")),
     ("strings", ["cluster", "--graph", "strings.tsv", "--k", "2"],

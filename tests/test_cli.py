@@ -174,6 +174,24 @@ def test_generate_then_cluster_recovers_planted(tmp_path):
     assert ari(pred, truth) >= 0.95
 
 
+def test_eigs_log_k_keeps_the_first_columns_of_the_eigs_k_solve(tmp_path, capsys):
+    # Eight planted blocks give eight near-equal top eigenvalues, so a
+    # 3-column block alone has no gap to converge on.
+    gen = tmp_path / "gen"
+    assert run_cli("generate-sbm", "--n", 800, "--k", 8, "--p", "0.2",
+                   "--q", "0.005", "--seed", 0, "--out", gen) == 0
+    embeddings = {}
+    for mode in ("eigs_k", "eigs_log_k"):
+        out = tmp_path / mode
+        assert run_cli("cluster", "--graph", gen / "graph.tsv", "--k", 8, "--mode", mode,
+                       "--seed", 0, "--out", out) == 0
+        assert json.loads((out / "report.json").read_text())["eigs_converged"] is True
+        embeddings[mode] = load_embedding(out / "embedding.csv").data
+    assert "warning" not in capsys.readouterr().err
+    assert embeddings["eigs_log_k"].shape == (800, 3)
+    assert embeddings["eigs_log_k"].tobytes() == embeddings["eigs_k"][:, :3].tobytes()
+
+
 def test_knn_graph_command(tmp_path):
     pts = tmp_path / "pts.csv"
     rng = np.random.default_rng(0)

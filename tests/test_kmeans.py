@@ -231,35 +231,45 @@ def test_bounded_lloyd_matches_full_assignment_sweep_by_sweep(monkeypatch):
         costs.append(real_cost(points, part, means))
         return costs[-1]
 
-    # Count the full sweeps beyond one per restart (empty-cluster fallbacks)
-    # and the sweeps that recompute exactly one row (the padded gather).
-    seen = {"full": 0, "one_row": 0}
-    real_full, real_tight = kmeans._full_sweep, kmeans._tight_bounds
+    # Count the empty-cluster repairs in sweeps after a restart's first (each
+    # follows a pass over every point) and the sweeps that recompute exactly
+    # one row (the padded gather). A restart begins with its seeding; the
+    # oracle seeds too but makes no sweep, so its repairs count for nothing.
+    seen = {"sweep": 0, "fallbacks": 0, "one_row": 0}
+    real_seed, real_sweep = kmeans._kmeans_pp_indices, kmeans._sweep
+    real_repair, real_tight = kmeans._repair_empty, kmeans._tight_bounds
 
-    def full_sweep(*args):
-        seen["full"] += 1
-        return real_full(*args)
+    def seed_indices(*args):
+        seen["sweep"] = 0
+        return real_seed(*args)
+
+    def sweep(*args):
+        seen["sweep"] += 1
+        return real_sweep(*args)
+
+    def repair_empty(labels, d2_own, k):
+        seen["fallbacks"] += seen["sweep"] > 1
+        return real_repair(labels, d2_own, k)
 
     def tight_bounds(d2_own, d2_second, delta):
         seen["one_row"] += d2_own.size == 1
         return real_tight(d2_own, d2_second, delta)
 
     monkeypatch.setattr(kmeans, "kmeans_cost", recorded_cost)
-    monkeypatch.setattr(kmeans, "_full_sweep", full_sweep)
+    monkeypatch.setattr(kmeans, "_kmeans_pp_indices", seed_indices)
+    monkeypatch.setattr(kmeans, "_sweep", sweep)
+    monkeypatch.setattr(kmeans, "_repair_empty", repair_empty)
     monkeypatch.setattr(kmeans, "_tight_bounds", tight_bounds)
     restarts = 3
-    fallbacks = 0
     for coords, k, seed in _lloyd_cases():
         costs.clear()
         want = lloyd_full_reference(coords, k, seed=seed, restarts=restarts)
         want_costs = np.array(costs)
         costs.clear()
-        seen["full"] = 0
         got = lloyd(coords, k, seed=seed, restarts=restarts)
-        fallbacks += seen["full"] - restarts
         assert np.array_equal(got.labels, want.labels)
         assert np.array(costs).tobytes() == want_costs.tobytes()
-    assert fallbacks > 0
+    assert seen["fallbacks"] > 0
     assert seen["one_row"] > 0
 
 
