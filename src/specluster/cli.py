@@ -30,7 +30,7 @@ from specluster.generate import (
 from specluster.graph import load_edge_list, load_labels, save_edge_list, save_labels, write_rows
 from specluster.kmeans import Partition
 from specluster.metrics import ari, evaluate_partition, nmi, partition_conductances
-from specluster.pipeline import MODES, SpectralParams, fast_spectral_cluster
+from specluster.pipeline import MODES, SpectralParams, default_threads, fast_spectral_cluster
 from specluster.spectral import save_embedding
 
 ENV_SEED = "SPECLUSTER_SEED"
@@ -47,11 +47,9 @@ def _resolve_common(args: argparse.Namespace) -> None:
     if args.seed < 0:
         raise InputError(f"seed must be nonnegative, got {args.seed}")
     if args.threads is None:
-        args.threads = os.cpu_count() or 1
+        args.threads = default_threads()
     if args.threads < 1:
         raise InputError(f"--threads must be >= 1, got {args.threads}")
-    # Execution is sequential regardless of --threads; the flag is validated
-    # and recorded so configs stay comparable, and results never depend on it.
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -107,7 +105,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     parse_ms = (time.perf_counter() - start) * 1e3
     g = loaded.graph
     params = SpectralParams(
-        k=args.k, epsilon=args.epsilon, l=args.l, t=args.t, mode=args.mode, seed=args.seed
+        k=args.k, epsilon=args.epsilon, l=args.l, t=args.t, mode=args.mode, seed=args.seed,
+        threads=args.threads,
     )
     result = fast_spectral_cluster(g, params)
     if result.eigs_converged is False:
@@ -231,8 +230,10 @@ def run_bench(
     modes: list[str],
     seeds: list[int],
     progress=None,
+    threads: int | None = None,
 ) -> list[dict]:
     """One row per (grid point, seed, mode, stage); ari/nmi repeated per stage."""
+    threads = default_threads() if threads is None else threads
     rows: list[dict] = []
     for gv in grid:
         for seed in seeds:
@@ -240,7 +241,8 @@ def run_bench(
             sample = sample_sbm(params)
             for mode in modes:
                 result = fast_spectral_cluster(
-                    sample.graph, SpectralParams(k=params.k, mode=mode, seed=seed)
+                    sample.graph,
+                    SpectralParams(k=params.k, mode=mode, seed=seed, threads=threads),
                 )
                 a = ari(result.partition, sample.planted)
                 m = nmi(result.partition, sample.planted)
@@ -316,7 +318,8 @@ def _cmd_bench(args: argparse.Namespace, regime: str, limit: int) -> int:
     seeds = _parse_seeds(args.seeds)
     grid = bench_grid(regime, limit)
     rows = run_bench(
-        regime, grid, modes, seeds, progress=lambda s: print(s, file=sys.stderr)
+        regime, grid, modes, seeds, progress=lambda s: print(s, file=sys.stderr),
+        threads=args.threads,
     )
     out = _out_dir(args)
     csv_name = f"{regime}.csv"
@@ -344,7 +347,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: ${ENV_SEED} or 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; results are independent of this")
+                   help="worker threads (default: the CPUs this process may use); "
+                        "results are independent of this")
     p.add_argument("--out", required=True, help="output directory")
 
 

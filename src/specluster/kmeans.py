@@ -174,10 +174,19 @@ def _weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, weights.size - 1))
 
 
-def _kmeans_pp_indices(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_indices(
+    coords: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    sq_norms: np.ndarray | None = None,
+    two_coords: np.ndarray | None = None,
+) -> np.ndarray:
+    """Row indices of k-means++ centers. A caller that seeds many times passes
+    each row's squared norm and the rows times two, computed once."""
     n = coords.shape[0]
-    sq_norms = np.einsum("ij,ij->i", coords, coords)
-    two_coords = 2.0 * coords
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", coords, coords)
+        two_coords = 2.0 * coords
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     best_d2 = _sq_dists_to(two_coords, sq_norms, coords[chosen[0]][None, :])[:, 0]
@@ -288,7 +297,10 @@ def _sweep(coords, sq_norms, centers, delta, labels, upper, lower) -> np.ndarray
             # One row would go through gemv; pad it with a neighbour.
             rows = np.array([stale[0], stale[0] - 1 if stale[0] else 1])
         d2_second = np.empty(rows.size)
-        nearest, d2_own = _assign(coords[rows], sq_norms[rows], centers, d2_second)
+        # With every row stale (a restart's first sweep, the second pass)
+        # the rows are read in place: a gathered copy is n x d more memory.
+        picked = (coords, sq_norms) if stale.size == n else (coords[rows], sq_norms[rows])
+        nearest, d2_own = _assign(*picked, centers, d2_second)
         m = stale.size
         labels[stale] = nearest[:m]
         upper[stale], lower[stale] = _tight_bounds(d2_own[:m], d2_second[:m], delta[stale])
@@ -308,6 +320,7 @@ def lloyd(
     max_iters: int = 100,
     tol: float = 1e-6,
     restarts: int = 10,
+    pmap=map,
 ) -> Partition:
     """Restarted Lloyd iterations from k-means++ seeds, best cost kept.
 
@@ -320,6 +333,11 @@ def lloyd(
     A point is recomputed only when its distance bounds allow it to change
     label, or when a cluster empties; the labels are bitwise those of
     assigning every point (see the comment above ``_ROUND_UP``).
+
+    ``pmap``, an order-keeping map such as the builtin one, runs the
+    restarts. Restart r draws only from its own stream ``rng_for(seed, r)``
+    and writes only its own arrays, and the lowest cost wins with ties to
+    the lowest r, so the result does not depend on how they are scheduled.
     """
     pts = _point_set(points)
     coords = pts.coords
@@ -333,12 +351,12 @@ def lloyd(
 
     sq_norms = np.einsum("ij,ij->i", coords, coords)
     norms = np.sqrt(sq_norms)
+    two_coords = 2.0 * coords
     margin = (4 * d + 16) * _EPS
-    best_labels: np.ndarray | None = None
-    best_cost = np.inf
-    for r in range(restarts):
+
+    def restart(r: int) -> tuple[float, np.ndarray]:
         rng = rng_for(seed, r)
-        centers = coords[_kmeans_pp_indices(coords, k, rng)].copy()
+        centers = coords[_kmeans_pp_indices(coords, k, rng, sq_norms, two_coords)].copy()
         labels = np.zeros(n, dtype=np.int64)
         # Bounds that rule nothing out: the first sweep recomputes every point.
         upper, lower, prev_centers = np.full(n, np.inf), np.zeros(n), centers
@@ -358,7 +376,9 @@ def lloyd(
             prev_cost = cost
             if unchanged or small_gain:
                 break
-        if r == 0 or prev_cost < best_cost:
-            best_cost = prev_cost
-            best_labels = labels
+        return prev_cost, labels
+
+    results = list(pmap(restart, range(restarts)))
+    # min keeps the first of equal costs: ties go to the lowest restart.
+    _, best_labels = min(results, key=lambda result: result[0])
     return Partition(labels=best_labels, k=k)

@@ -11,9 +11,15 @@ eigenvectors from the block eigensolver.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import queue
 import time
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +50,79 @@ def _steps_for(n: int, epsilon: float, k: int) -> int:
     return int(math.ceil(C3 * math.log(24.0 * n / (epsilon * epsilon * k))))
 
 
+def default_threads() -> int:
+    """The CPUs this process may run on, the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+def _release_free_heap() -> None:
+    """Return free heap pages to the system, where the C library is glibc.
+
+    glibc gives each pool thread its own malloc arena and keeps what those
+    threads free resident after the pool closes; ``malloc_trim`` releases
+    the free pages inside every arena.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def _map_with_caller(pool: ThreadPoolExecutor, helpers: int, fn, items) -> list:
+    """``list(map(fn, items))``, run on the calling thread and up to ``helpers`` pool threads.
+
+    Each thread takes the next waiting item until none is left, and each
+    item's outcome goes to its own future. Every item runs; if any raised,
+    the exception of the first such item is raised, as the builtin ``map``
+    would raise it.
+    """
+    items = list(items)
+    outcomes = [Future() for _ in items]
+    waiting: queue.SimpleQueue = queue.SimpleQueue()
+    for i in range(len(items)):
+        waiting.put(i)
+
+    def drain() -> None:
+        while True:
+            try:
+                i = waiting.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                outcomes[i].set_result(fn(items[i]))
+            except Exception as error:
+                outcomes[i].set_exception(error)
+
+    running = [pool.submit(drain) for _ in range(min(helpers, len(items) - 1))]
+    drain()
+    for helper in running:
+        helper.result()
+    return [outcome.result() for outcome in outcomes]
+
+
+@contextmanager
+def worker_map(threads: int):
+    """An order-keeping ``map`` that runs on ``threads`` threads, the caller's included.
+
+    One thread is the builtin ``map``, and no thread is started. Otherwise a
+    pool of ``threads - 1`` threads lives as long as the ``with`` block. The
+    caller works too, so that less of the work allocates in the pool
+    threads' malloc arenas, which keep their peak after the pool closes.
+    """
+    if threads == 1:
+        yield map
+        return
+    try:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            yield functools.partial(_map_with_caller, pool, threads - 1)
+    finally:
+        _release_free_heap()
+
+
 @dataclass
 class SpectralParams:
     """Knobs for the clustering pipeline.
@@ -62,6 +141,7 @@ class SpectralParams:
     t: int | None = None
     mode: str = "pm_log_k"
     seed: int = 0
+    threads: int = field(default_factory=default_threads)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -76,6 +156,8 @@ class SpectralParams:
             raise InputError(f"t must be >= 0, got {self.t}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
+        if self.threads < 1:
+            raise InputError(f"threads must be >= 1, got {self.threads}")
 
     def num_columns(self) -> int:
         """Embedding width actually used for this mode."""
@@ -122,7 +204,6 @@ def fast_spectral_cluster(g: Graph, params: SpectralParams) -> PipelineResult:
     """
     if params.k > g.n:
         raise InputError(f"k={params.k} exceeds the vertex count n={g.n}")
-    op = SignlessLaplacianOp(g)
     cols = params.num_columns()
     if cols > g.n:
         raise InputError(f"embedding width l={cols} exceeds n={g.n}")
@@ -130,27 +211,29 @@ def fast_spectral_cluster(g: Graph, params: SpectralParams) -> PipelineResult:
     converged: bool | None = None
     eigs_iters: int | None = None
 
-    t0 = time.perf_counter()
-    if params.mode == "pm_log_k":
-        steps = params.num_steps(g.n)
-        raw = power_method(op, sample_gaussian_vectors(g.n, cols, params.seed).data, steps)
-    elif params.mode == "pm_k":
-        steps = params.num_steps(g.n)
-        raw = pm_k_orthonormal_vectors(op, cols, steps, params.seed).data
-    else:
-        # A block narrower than k has no spectral gap to converge on when the
-        # graph has k near-equal top eigenvalues, so solve for k and keep the
-        # first cols Ritz vectors.
-        res = subspace_iteration_eigs(op, max(params.k, cols), seed=params.seed)
-        raw = res.vectors.data[:, :cols]
-        converged = res.converged
-        eigs_iters = res.iterations
-    t1 = time.perf_counter()
-    scaled = raw * op.inv_sqrt_degrees[:, None]
-    embedding = EmbeddingMatrix(data=scaled, scaled=True, seed=params.seed)
-    t2 = time.perf_counter()
-    part = lloyd(PointSet(scaled), params.k, seed=_kmeans_seed(params.seed))
-    t3 = time.perf_counter()
+    with worker_map(params.threads) as pmap:
+        op = SignlessLaplacianOp(g, params.threads, pmap)
+        t0 = time.perf_counter()
+        if params.mode == "pm_log_k":
+            steps = params.num_steps(g.n)
+            raw = power_method(op, sample_gaussian_vectors(g.n, cols, params.seed).data, steps)
+        elif params.mode == "pm_k":
+            steps = params.num_steps(g.n)
+            raw = pm_k_orthonormal_vectors(op, cols, steps, params.seed).data
+        else:
+            # A block narrower than k has no spectral gap to converge on when
+            # the graph has k near-equal top eigenvalues, so solve for k and
+            # keep the first cols Ritz vectors.
+            res = subspace_iteration_eigs(op, max(params.k, cols), seed=params.seed)
+            raw = res.vectors.data[:, :cols]
+            converged = res.converged
+            eigs_iters = res.iterations
+        t1 = time.perf_counter()
+        scaled = raw * op.inv_sqrt_degrees[:, None]
+        embedding = EmbeddingMatrix(data=scaled, scaled=True, seed=params.seed)
+        t2 = time.perf_counter()
+        part = lloyd(PointSet(scaled), params.k, seed=_kmeans_seed(params.seed), pmap=pmap)
+        t3 = time.perf_counter()
 
     timings = {
         "embed": (t1 - t0) * 1e3,

@@ -40,22 +40,60 @@ class SignlessLaplacianOp:
 
     One application costs a sparse matvec plus two diagonal scalings,
     O(m + n). Accepts a single vector or an (n, l) block of columns.
+
+    The rows are cut into up to ``parts`` ranges of about equal nnz, and
+    ``pmap``, an order-keeping map such as the builtin one, runs the step
+    on each range. A CSR row block sums each row's entries in the order the whole matrix
+    does and every other term is elementwise, so the result is bitwise the
+    same for any ``parts``. The blocks' ``data`` and ``indices`` are views
+    of the graph's arrays; only their small ``indptr`` is new.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, parts: int = 1, pmap=map):
         self.n = graph.n
         self.inv_sqrt_degrees = 1.0 / np.sqrt(graph.degrees)
-        self._adj = graph.adj
+        self._blocks = _row_blocks(graph.adj, parts)
+        self._pmap = pmap
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self.n:
             raise InputError(f"operand has {x.shape[0]} rows, operator expects {self.n}")
         s = self.inv_sqrt_degrees if x.ndim == 1 else self.inv_sqrt_degrees[:, None]
-        return 0.5 * x + 0.5 * (s * (self._adj @ (s * x)))
+        sx = s * x
+        out = np.empty(x.shape)
+        # Each block writes only its own rows of out; list() waits for all.
+        list(self._pmap(lambda block: _step(block, s, x, sx, out), self._blocks))
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
+
+
+def _row_blocks(adj, parts: int) -> list[tuple[int, int, object]]:
+    """``(start, stop, rows)`` for up to ``parts`` nonempty row ranges of about equal nnz."""
+    n, indptr = adj.shape[0], adj.indptr
+    cuts = np.searchsorted(indptr, np.arange(1, parts) * adj.nnz // parts)
+    bounds = np.unique(np.concatenate([[0], cuts, [n]]))
+    blocks = []
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        p0, p1 = indptr[start], indptr[stop]
+        # Assigned after construction: the csr_matrix constructor would copy.
+        rows = type(adj)((stop - start, adj.shape[1]), dtype=adj.dtype)
+        rows.data, rows.indices = adj.data[p0:p1], adj.indices[p0:p1]
+        rows.indptr = indptr[start:stop + 1] - p0
+        blocks.append((start, stop, rows))
+    return blocks
+
+
+def _step(block, s, x, sx, out) -> None:
+    """Rows ``[start, stop)`` of ``0.5 * x + 0.5 * (s * (A @ sx))``, written into ``out``."""
+    start, stop, rows = block
+    y = rows @ sx
+    y *= s[start:stop]
+    y *= 0.5
+    np.multiply(x[start:stop], 0.5, out=out[start:stop])
+    out[start:stop] += y
 
 
 def power_method(op, x0: np.ndarray, t: int) -> np.ndarray:

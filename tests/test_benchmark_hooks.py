@@ -52,14 +52,18 @@ def test_every_patch_resolves(tracing):
         assert name in owner.__dict__, f"{module}.{attr}"
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("mode", ["pm_log_k", "eigs_k"])
-def test_traced_cluster_counts(tracing, tmp_path, mode):
+def test_traced_cluster_counts(tracing, tmp_path, mode, threads):
+    # With two threads the restarts, and so the kmeans.* spans, run on pool
+    # threads; the counts must not change.
     graph = tmp_path / "g.tsv"
     save_edge_list(disjoint_cliques(4, 6), graph)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         assert main(["cluster", "--graph", str(graph), "--k", "4", "--mode", mode,
-                     "--seed", "0", "--out", str(tmp_path / "run")]) == 0
+                     "--seed", "0", "--threads", str(threads),
+                     "--out", str(tmp_path / "run")]) == 0
     for name in ("graph.load_edge_list", "pipeline.fast_spectral_cluster", "graph.save_labels",
                  "spectral.save_embedding", "metrics.partition_conductances",
                  "spectral.op_build", "kmeans.lloyd"):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 from specluster.cli import ENV_SEED, bench_grid, main, run_bench
 from specluster.errors import InputError
+from specluster.generate import SbmParams, sample_sbm
 from specluster.graph import load_edge_list, load_labels, save_edge_list, save_labels
 from specluster.kmeans import Partition
 from specluster.metrics import ari
@@ -126,6 +128,41 @@ def test_cluster_reruns_byte_identical(triangles_file, tmp_path):
     for name in ("labels.txt", "embedding.csv", "report.json"):
         blobs = [(o / name).read_bytes() for o in outs]
         assert blobs[0] == blobs[1] == blobs[2], f"{name} differs across reruns"
+
+
+def _cluster_bytes(graph, out, *extra):
+    assert run_cli("cluster", "--graph", graph, "--seed", 3, "--out", out, *extra) == 0
+    return [(out / name).read_bytes() for name in ("labels.txt", "embedding.csv", "report.json")]
+
+
+@pytest.mark.parametrize("mode", ["pm_log_k", "pm_k", "eigs_k"])
+def test_cluster_bytes_do_not_depend_on_threads(tmp_path, mode):
+    # n = 1001 is a multiple of neither 2 nor 3, so the row blocks differ in size.
+    sample = sample_sbm(SbmParams(n=1001, k=7, p=0.05, q=0.002, seed=0))
+    graph = tmp_path / "g.tsv"
+    save_edge_list(sample.graph, graph)
+    blobs = [_cluster_bytes(graph, tmp_path / f"t{threads}", "--k", 7, "--mode", mode,
+                            "--threads", threads)
+             for threads in (1, 2, 3)]
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("mode", ["pm_log_k", "eigs_k"])
+def test_cluster_bytes_with_more_threads_than_vertices(triangles_file, tmp_path, mode):
+    blobs = [_cluster_bytes(triangles_file, tmp_path / f"t{threads}", "--k", 2, "--mode", mode,
+                            "--threads", threads)
+             for threads in (1, 7, 8)]
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_threads_default_to_the_cpus_this_process_may_use(triangles_file, tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("cluster", "--graph", triangles_file, "--k", 2, "--out", out) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["config"]["threads"] == len(os.sched_getaffinity(0))
+    assert " threads=" not in (out / "labels.txt").read_text()
+    assert run_cli("cluster", "--graph", triangles_file, "--k", 2, "--threads", 0,
+                   "--out", tmp_path / "zero") == 2
 
 
 def test_env_seed_fallback(triangles_file, tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
 """Cost functional, k-means++ seeding, Lloyd iterations, determinism."""
 
+import threading
+from collections import defaultdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from specluster.kmeans import (
     lloyd,
 )
 from specluster.metrics import ari
+from specluster.pipeline import worker_map
+from specluster.spectral import rng_for
 from tests.oracles import cluster_means_bincount, frobenius_cost_oracle, lloyd_full_reference
 
 
@@ -353,6 +359,127 @@ def test_lloyd_input_validation():
         lloyd(np.zeros((3, 1)), 2, seed=0, max_iters=0)
     with pytest.raises(InputError, match="NaN|finite|Inf"):
         lloyd(np.array([[np.inf, 0.0]]), 1, seed=0)
+
+
+def _track_restarts(monkeypatch, restarts):
+    """Which restart each thread is running, read off the stream its seeding draws from.
+
+    A restart seeds first and then sweeps on the same thread, so a spy on
+    ``kmeans_cost`` can read ``tracker.current.r``, however the restarts are
+    scheduled. ``tracker.seed`` must be the seed of the run in progress.
+    """
+    tracker = SimpleNamespace(seed=0, current=threading.local())
+    real_seed = kmeans._kmeans_pp_indices
+
+    def seed_indices(coords, k, rng, *precomputed):
+        state = rng.bit_generator.state
+        tracker.current.r = next(r for r in range(restarts)
+                                 if rng_for(tracker.seed, r).bit_generator.state == state)
+        return real_seed(coords, k, rng, *precomputed)
+
+    monkeypatch.setattr(kmeans, "_kmeans_pp_indices", seed_indices)
+    return tracker
+
+
+def _differential_cases():
+    """198 small (points, k, seed): Gaussian, near-duplicate and integer-grid points."""
+    rng = np.random.default_rng(29)
+    for seed in range(198):
+        n, d = int(rng.integers(6, 60)), int(rng.integers(1, 4))
+        if seed % 3 == 0:
+            pts = rng.standard_normal((n, d))
+        elif seed % 3 == 1:
+            pts = np.repeat(rng.standard_normal((n // 4 + 1, d)), 4, axis=0)[:n]
+            pts += 1e-9 * rng.standard_normal((n, d))
+        else:
+            pts = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        yield pts, int(rng.integers(2, min(n, 12) + 1)), seed
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lloyd_matches_full_reference_on_random_instances(monkeypatch, threads):
+    # Labels, and every restart's per-sweep cost bytes, against the reference
+    # that assigns every point on every sweep.
+    restarts = 3
+    tracker = _track_restarts(monkeypatch, restarts)
+    costs = defaultdict(list)
+    real_cost = kmeans.kmeans_cost
+
+    def recorded_cost(points, part, means=None):
+        cost = real_cost(points, part, means)
+        costs[tracker.current.r].append(cost)
+        return cost
+
+    def cost_bytes():
+        return {r: np.array(c).tobytes() for r, c in costs.items()}
+
+    monkeypatch.setattr(kmeans, "kmeans_cost", recorded_cost)
+    with worker_map(threads) as pmap:
+        for coords, k, seed in _differential_cases():
+            tracker.seed = seed
+            costs.clear()
+            want = lloyd_full_reference(coords, k, seed=seed, restarts=restarts)
+            want_costs = cost_bytes()
+            costs.clear()
+            got = lloyd(coords, k, seed=seed, restarts=restarts, pmap=pmap)
+            assert np.array_equal(got.labels, want.labels), seed
+            assert cost_bytes() == want_costs, seed
+
+
+def test_lloyd_labels_do_not_depend_on_threads():
+    rng = np.random.default_rng(17)
+    coords, _ = blobs(rng, 50, [(0.0, 0.0), (3.0, 0.0), (0.0, 3.0), (3.0, 3.0)], sigma=1.0)
+    want = lloyd(coords, 6, seed=4, restarts=3).labels
+    for threads in (2, 4):
+        with worker_map(threads) as pmap:
+            assert np.array_equal(lloyd(coords, 6, seed=4, restarts=3, pmap=pmap).labels, want)
+
+
+def test_tied_restarts_go_to_the_lowest_restart():
+    # Two groups of three identical points: every restart reaches cost 0,
+    # and which group gets label 0 depends on the restart's first pick.
+    coords = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [5.0]])
+    seed = 1
+    seen = []
+
+    def recording_map(fn, items):
+        seen[:] = map(fn, items)
+        return seen
+
+    got = lloyd(coords, 2, seed=seed, restarts=3, pmap=recording_map).labels
+    assert [cost for cost, _ in seen] == [0.0, 0.0, 0.0]
+    assert seen[0][1].tobytes() != seen[1][1].tobytes()
+    assert np.array_equal(got, seen[0][1])
+    for threads in (1, 2, 4):
+        with worker_map(threads) as pmap:
+            assert np.array_equal(lloyd(coords, 2, seed=seed, restarts=3, pmap=pmap).labels, got)
+
+
+def test_rising_cost_raises_the_same_error_at_any_thread_count(monkeypatch):
+    # Restarts 2 and 3 both report a rise on their second sweep; the error
+    # is restart 2's, as when the restarts run one after another.
+    coords = np.random.default_rng(23).standard_normal((60, 2))
+    tracker = _track_restarts(monkeypatch, restarts=5)
+    real_cost = kmeans.kmeans_cost
+    last = {}
+
+    def rising_cost(points, part, means=None):
+        r = tracker.current.r
+        cost = real_cost(points, part, means)
+        if r in (2, 3) and r in last:
+            cost = 2.0 * last[r] + r
+        last[r] = cost
+        return cost
+
+    monkeypatch.setattr(kmeans, "kmeans_cost", rising_cost)
+    messages = []
+    for threads in (1, 2):
+        last.clear()
+        with worker_map(threads) as pmap, pytest.raises(SpeclusterError) as err:
+            lloyd(coords, 3, seed=0, restarts=5, pmap=pmap)
+        messages.append(str(err.value))
+        assert messages[-1].endswith(f" to {last[2]!r}")
+    assert messages[0] == messages[1]
 
 
 def test_lloyd_rising_cost_is_an_error(monkeypatch):

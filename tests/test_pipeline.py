@@ -1,11 +1,15 @@
 """Pipeline dispatch, parameter derivation, cost-preservation harness."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
 
+from specluster import kmeans
 from specluster.errors import InputError
 from specluster.generate import SbmParams, sample_sbm
 from specluster.graph import from_edges
@@ -77,6 +81,9 @@ def test_params_validation():
         SpectralParams(k=3, t=-1)
     with pytest.raises(InputError):
         SpectralParams(k=3, seed=-1)
+    with pytest.raises(InputError):
+        SpectralParams(k=3, threads=0)
+    assert SpectralParams(k=3).threads == len(os.sched_getaffinity(0))
 
 
 def test_pipeline_rejects_k_and_l_beyond_n():
@@ -160,6 +167,49 @@ def test_pipeline_deterministic():
     b = fast_spectral_cluster(sample.graph, SpectralParams(k=4, seed=8))
     assert np.array_equal(a.partition.labels, b.partition.labels)
     assert np.array_equal(a.embedding.data, b.embedding.data)
+
+
+@pytest.mark.parametrize("mode", ["pm_log_k", "eigs_k"])
+def test_one_thread_starts_no_thread(monkeypatch, mode):
+    # With threads=1 the steps and the restarts run on the calling thread;
+    # with two, on pool threads that the call starts and joins.
+    seen = []
+    real_matvec, real_cost = SignlessLaplacianOp.matvec, kmeans.kmeans_cost
+
+    def matvec(self, x):
+        seen.append(threading.active_count())
+        return real_matvec(self, x)
+
+    def cost(points, part, means=None):
+        seen.append(threading.active_count())
+        return real_cost(points, part, means)
+
+    monkeypatch.setattr(SignlessLaplacianOp, "matvec", matvec)
+    monkeypatch.setattr(kmeans, "kmeans_cost", cost)
+    sample = sample_sbm(SbmParams(n=200, k=4, p=0.3, q=0.02, seed=4))
+    before = threading.active_count()
+    fast_spectral_cluster(sample.graph, SpectralParams(k=4, mode=mode, threads=1))
+    assert seen and set(seen) == {before}
+    seen.clear()
+    fast_spectral_cluster(sample.graph, SpectralParams(k=4, mode=mode, threads=2))
+    assert max(seen) > before
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("mode", ["pm_log_k", "pm_k", "eigs_k"])
+def test_more_threads_than_cores_change_no_bit(mode):
+    # Eight workers with a thread switch forced every microsecond: a lost or
+    # misplaced row write, or a restart reading another's arrays, would show.
+    sample = sample_sbm(SbmParams(n=1001, k=7, p=0.05, q=0.002, seed=1))
+    want = fast_spectral_cluster(sample.graph, SpectralParams(k=7, mode=mode, threads=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = fast_spectral_cluster(sample.graph, SpectralParams(k=7, mode=mode, threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.embedding.data.tobytes() == want.embedding.data.tobytes()
+    assert np.array_equal(got.partition.labels, want.partition.labels)
 
 
 def test_span_equal_embeddings_agree_on_exhaustive_argmin():

@@ -84,10 +84,18 @@ def test_apply_m_length_mismatch():
 
 
 def test_operator_reads_the_graph_in_place():
+    # Every row block's data and indices are views of the graph's arrays,
+    # before and after a product, and the blocks tile the rows in order.
     g = random_graph(np.random.default_rng(4), 30, 0.3, weighted=True)
-    op = SignlessLaplacianOp(g)
-    assert np.shares_memory(op._adj.indices, g.col_indices)
-    assert np.shares_memory(op._adj.data, g.weights)
+    for parts in (1, 2, 3, 40):
+        op = SignlessLaplacianOp(g, parts)
+        op @ np.ones((g.n, 2))
+        assert 1 <= len(op._blocks) <= min(parts, g.n)
+        assert [b[0] for b in op._blocks] == [0] + [b[1] for b in op._blocks[:-1]]
+        assert op._blocks[-1][1] == g.n
+        for _, _, rows in op._blocks:
+            assert np.shares_memory(rows.indices, g.col_indices)
+            assert np.shares_memory(rows.data, g.weights)
 
 
 # ---------------------------------------------------------------------------
