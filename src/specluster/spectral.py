@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
-from specluster.errors import GraphFormatError, InputError, RankDeficiencyError
+from specluster.errors import GraphFormatError, InputError, RankDeficiencyError, SpeclusterError
 from specluster.graph import Graph, data_lines, write_rows
 
 GENERATOR_NAME = "numpy-pcg64-ziggurat"
@@ -208,6 +209,43 @@ def sample_gaussian_vectors(n: int, l: int, seed: int) -> EmbeddingMatrix:
 # Eigensolver (block power / subspace iteration)
 
 
+def _lapack(routine, *args) -> None:
+    """Run a ``lapack_lite`` routine: a workspace query, then the call.
+
+    ``args`` are the routine's arguments before its workspace. The
+    workspace is the larger of the queried optimum and the column count
+    ``args[1]``, as ``np.linalg.qr`` sizes it. ``lapack_lite`` checks only
+    the arrays' dtype and contiguity, so the caller must size them.
+    """
+    work = np.empty(1)
+    for query in (True, False):
+        info = routine(*args, work, -1 if query else work.size, 0)["info"]
+        if info != 0:
+            raise SpeclusterError(f"LAPACK {routine.__name__} returned info={info}")
+        if query:
+            work = np.empty(max(int(work[0]), args[1], 1))
+
+
+def _qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of an n x k block with n >= k, bitwise ``np.linalg.qr(b)``.
+
+    ``np.linalg.qr`` runs LAPACK ``dgeqrf`` then ``dorgqr`` from numpy's
+    bundled OpenBLAS; ``lapack_lite`` calls the same two symbols with less
+    wrapping around them. The routines work on one column-major copy of
+    ``b``, held as its C-ordered transpose; ``b`` itself is not written.
+    ``Q`` comes back C-ordered, as ``np.linalg.qr`` returns it.
+    """
+    n, k = b.shape
+    if n < k:
+        raise InputError(f"reduced QR needs rows >= columns, got {n} x {k}")
+    a = np.array(b.T, dtype=np.float64, order="C")
+    tau = np.empty(k)
+    _lapack(lapack_lite.dgeqrf, n, k, a, n, tau)
+    r = np.triu(a.T[:k])
+    _lapack(lapack_lite.dorgqr, n, k, k, a, n, tau)
+    return np.ascontiguousarray(a.T), r
+
+
 @dataclass
 class EigsResult:
     values: np.ndarray  # descending
@@ -236,7 +274,7 @@ def subspace_iteration_eigs(
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = rng_for(seed, _TAG_EIGS_INIT)
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    q, _ = _qr(rng.standard_normal((n, k)))
 
     theta = np.zeros(k)
     ritz = q
@@ -257,7 +295,7 @@ def subspace_iteration_eigs(
         if resid.max() <= tol:
             converged = True
             break
-        q, _ = np.linalg.qr(b)
+        q, _ = _qr(b)
 
     # Ritz vectors are orthonormal (rotation of an orthonormal block).
     vectors = EmbeddingMatrix(data=ritz, scaled=False, seed=seed)
@@ -280,7 +318,7 @@ def pm_k_orthonormal_vectors(
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     y = power_method(op, sample_gaussian_vectors(n, k, seed).data, t)
-    q, r = np.linalg.qr(y)
+    q, r = _qr(y)
     diag = np.abs(np.diag(r))
     threshold = max(n, k) * np.finfo(np.float64).eps * max(diag.max(), 1e-300)
     bad = np.flatnonzero(diag <= threshold)

@@ -6,8 +6,9 @@ each case below as a ``python -m specluster.cli`` child with one BLAS
 thread, inside one scratch directory and with relative paths (the
 ``labels.txt`` header records the ``--graph`` path as given), and returns
 the digest of every output it names. ``golden.json`` holds the digests and
-the numpy and scipy versions they were recorded with; BLAS rounding is part
-of the contract, so another version needs a new record:
+the numpy and scipy versions they were recorded with. The eigensolver's QR
+rounding is that of numpy's bundled OpenBLAS, which the numpy version pins.
+BLAS rounding is part of the contract, so another version needs a new record:
 
     python tests/golden.py --record
 

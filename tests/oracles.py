@@ -2,8 +2,9 @@
 
 Everything here is slow, dense or exhaustive on purpose: brute-force
 partition enumeration, dense operators and eigendecompositions, pair
-counting straight from a definition. The library does not import this
-module; the tests import every reference they use from here.
+counting straight from a definition. Frozen copies of earlier library code
+pin a rewrite to the bits of the code it replaced. The library does not
+import this module; the tests import every reference they use from here.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from typing import Iterator
 import numpy as np
 
 from specluster import kmeans
-from specluster.errors import InputError, SpeclusterError
+from specluster.errors import InputError, RankDeficiencyError, SpeclusterError
 from specluster.generate import SbmParams
 from specluster.graph import Graph, conductance, from_edges
 from specluster.kmeans import Partition, PointSet, kmeans_cost
 from specluster.pipeline import _steps_for
 from specluster.spectral import (
+    _TAG_EIGS_INIT,
+    EigsResult,
+    EmbeddingMatrix,
     SignlessLaplacianOp,
     power_method,
     rng_for,
@@ -109,6 +113,66 @@ def dense_signless_laplacian(g: Graph) -> np.ndarray:
 def apply_m(op: SignlessLaplacianOp, x: np.ndarray) -> np.ndarray:
     """y = Mx. Preserves nonnegativity and never grows the 2-norm."""
     return op @ x
+
+
+# ---------------------------------------------------------------------------
+# Frozen solvers: the block eigensolver and the pm_k orthonormalization as
+# they were while they called np.linalg.qr. The library must give their bits.
+
+
+def subspace_iteration_eigs_reference(op, k, iters=1000, tol=1e-8, seed=0) -> EigsResult:
+    """``subspace_iteration_eigs`` with every QR through ``np.linalg.qr``."""
+    n = op.n
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    rng = rng_for(seed, _TAG_EIGS_INIT)
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+
+    theta = np.zeros(k)
+    ritz = q
+    resid = np.full(k, np.inf)
+    used = 0
+    converged = False
+    for it in range(1, int(iters) + 1):
+        b = op @ q
+        h = q.T @ b
+        h = 0.5 * (h + h.T)
+        evals, w = np.linalg.eigh(h)  # ascending
+        order = np.arange(k - 1, -1, -1)  # descending eigenvalue, stable in index
+        evals, w = evals[order], w[:, order]
+        ritz = q @ w
+        resid = np.linalg.norm(b @ w - ritz * evals[None, :], axis=0)
+        theta = evals
+        used = it
+        if resid.max() <= tol:
+            converged = True
+            break
+        q, _ = np.linalg.qr(b)
+
+    vectors = EmbeddingMatrix(data=ritz, scaled=False, seed=seed)
+    return EigsResult(
+        values=theta, vectors=vectors, residuals=resid, iterations=used, converged=converged
+    )
+
+
+def pm_k_orthonormal_vectors_reference(op, k, t, seed) -> EmbeddingMatrix:
+    """``pm_k_orthonormal_vectors`` with its QR through ``np.linalg.qr``."""
+    n = op.n
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    y = power_method(op, sample_gaussian_vectors(n, k, seed).data, t)
+    q, r = np.linalg.qr(y)
+    diag = np.abs(np.diag(r))
+    threshold = max(n, k) * np.finfo(np.float64).eps * max(diag.max(), 1e-300)
+    bad = np.flatnonzero(diag <= threshold)
+    if bad.size:
+        raise RankDeficiencyError(
+            f"power-method columns are numerically dependent: column {int(bad[0])} "
+            f"has |R[{int(bad[0])},{int(bad[0])}]| = {diag[bad[0]]:.3e} after t={t} steps; "
+            "reduce t or k"
+        )
+    signs = np.sign(np.diag(r))
+    return EmbeddingMatrix(data=q * signs[None, :], scaled=False, seed=seed)
 
 
 # ---------------------------------------------------------------------------

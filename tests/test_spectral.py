@@ -1,15 +1,19 @@
 """Operator action, power method, Gaussian sampling, eigensolver, embeddings."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from specluster.errors import GraphFormatError, InputError, RankDeficiencyError
 from specluster.graph import from_edges
+from specluster.pipeline import worker_map
 from specluster.spectral import (
     EmbeddingMatrix,
     SignlessLaplacianOp,
+    _qr,
     load_embedding,
     pm_k_orthonormal_vectors,
     power_method,
@@ -17,7 +21,14 @@ from specluster.spectral import (
     save_embedding,
     subspace_iteration_eigs,
 )
-from tests.oracles import apply_m, dense_signless_laplacian, random_graph, synthetic_operator
+from tests.oracles import (
+    apply_m,
+    dense_signless_laplacian,
+    pm_k_orthonormal_vectors_reference,
+    random_graph,
+    subspace_iteration_eigs_reference,
+    synthetic_operator,
+)
 
 
 def single_edge_op():
@@ -201,6 +212,116 @@ def test_spectrum_in_unit_interval_and_top_value():
             assert abs(evals.max() - 1.0) <= 1e-10
         # multiplicity of eigenvalue 1 equals the number of components
         assert int((evals > 1 - 1e-8).sum()) == ncomp
+
+
+# ---------------------------------------------------------------------------
+# QR through LAPACK
+
+
+def _qr_block(rng, n, k, kind):
+    b = rng.standard_normal((n, k))
+    if kind == "graded":
+        return b * 10.0 ** -np.arange(k)
+    if kind == "near-dependent":
+        return b[:, :1] + 1e-10 * b
+    return b
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "graded", "near-dependent"])
+@pytest.mark.parametrize("n", [3, 50, 1201, 20000])
+def test_qr_is_bitwise_numpy_qr(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    # LAPACK's block is 32 columns, and dgeqrf runs blocked only past 128
+    # columns, where the workspace size decides the block; 160 checks it
+    for k in (1, 2, 20, 33, 65, 160):
+        if k > n:
+            continue
+        b = _qr_block(rng, n, k, kind)
+        before = b.copy()
+        q, r = _qr(b)
+        q_ref, r_ref = np.linalg.qr(b)
+        assert np.array_equal(q, q_ref), (n, k)
+        assert np.array_equal(r, r_ref), (n, k)
+        # an (n, 1) block is both C- and F-contiguous, so an in-place
+        # factorization would write into the caller's array
+        assert np.array_equal(b, before), (n, k)
+
+
+def test_qr_of_a_square_block_is_bitwise_numpy_qr():
+    b = np.random.default_rng(21).standard_normal((40, 40))
+    q, r = _qr(b)
+    q_ref, r_ref = np.linalg.qr(b)
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(r, r_ref)
+
+
+def test_qr_rejects_more_columns_than_rows():
+    with pytest.raises(InputError, match="2 x 3"):
+        _qr(np.ones((2, 3)))
+
+
+_BAD_LDA = """
+import numpy as np
+from numpy.linalg import lapack_lite
+from specluster.errors import SpeclusterError
+from specluster.spectral import _lapack
+a = np.ones((3, 5))  # a 5 x 3 block, column-major, with lda = 4 < 5
+try:
+    _lapack(lapack_lite.dgeqrf, 5, 3, a, 4, np.empty(3))
+except SpeclusterError as error:
+    print(__debug__, error)
+"""
+
+
+def test_lapack_error_names_routine_and_info_under_python_O():
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_LDA],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # OpenBLAS's own parameter report may come first on stdout
+    assert proc.stdout.splitlines()[-1] == "False LAPACK dgeqrf returned info=-4"
+
+
+def _frozen_solver_graphs():
+    rng = np.random.default_rng(22)
+    for i in range(10):
+        yield random_graph(rng, 20 + 4 * i, 0.15 + 0.03 * i, weighted=i % 2 == 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eigs_matches_frozen_solver_bitwise(threads):
+    with worker_map(threads) as pmap:
+        for i, g in enumerate(_frozen_solver_graphs()):
+            op = SignlessLaplacianOp(g, threads, pmap)
+            k = 2 + i % 5
+            for iters in (3, 300):
+                got = subspace_iteration_eigs(op, k, iters=iters, seed=i)
+                ref = subspace_iteration_eigs_reference(op, k, iters=iters, seed=i)
+                assert np.array_equal(got.values, ref.values), (i, iters)
+                assert np.array_equal(got.residuals, ref.residuals), (i, iters)
+                assert np.array_equal(got.vectors.data, ref.vectors.data), (i, iters)
+                assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+                if iters == 3:
+                    assert (got.iterations, got.converged) == (3, False)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pm_k_matches_frozen_orthonormalization_bitwise(threads):
+    with worker_map(threads) as pmap:
+        for i, g in enumerate(_frozen_solver_graphs()):
+            op = SignlessLaplacianOp(g, threads, pmap)
+            k, t = 2 + i % 5, 3 + i
+            got = pm_k_orthonormal_vectors(op, k, t, seed=i)
+            ref = pm_k_orthonormal_vectors_reference(op, k, t, seed=i)
+            assert np.array_equal(got.data, ref.data), i
+
+
+def test_pm_k_rank_deficiency_message_matches_frozen_orthonormalization():
+    op = single_edge_op()
+    with pytest.raises(RankDeficiencyError) as got:
+        pm_k_orthonormal_vectors(op, 2, t=5, seed=0)
+    with pytest.raises(RankDeficiencyError) as ref:
+        pm_k_orthonormal_vectors_reference(op, 2, t=5, seed=0)
+    assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
