@@ -16,10 +16,13 @@ File formats handled here:
 
 from __future__ import annotations
 
+import codecs
+import functools
 import math
 import os
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -212,6 +215,20 @@ class GraphLoadResult:
     num_dropped: int  # isolated vertices removed by drop_isolated
 
 
+def _hash_lines_only(path) -> bool:
+    """Whether the file holds a ``#`` and only spaces and tabs precede each one on its line."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    at = data.find(b"#")
+    if at == -1:
+        return False
+    while at != -1:
+        if data[data.rfind(b"\n", 0, at) + 1:at].strip(b" \t"):
+            return False
+        end = data.find(b"\n", at)
+        at = -1 if end == -1 else data.find(b"#", end)
+    return True
+
+
 def _load_bulk(path) -> np.ndarray | None:
     """The whole edge list from one ``np.loadtxt`` call, or None.
 
@@ -221,9 +238,10 @@ def _load_bulk(path) -> np.ndarray | None:
     ``load_edge_list``'s line loop must read the file, which then gives its
     own result or ``path:lineno`` error. That happens when ``path`` is not a
     regular file, when loadtxt cannot parse every line at the first line's
-    field count (a string id, a ``#`` line after the first data line, mixed
-    field counts, an id beyond int64, ...), when an id is negative (the file
-    then has string ids), or when a weight is outside ``(0, inf)``.
+    field count (a string id, a ``#`` after a field, mixed field counts, an
+    id beyond int64, ...), when an id is negative (the file then has string
+    ids), or when a weight is outside ``(0, inf)``. A ``#`` line after the
+    first data line costs a second ``np.loadtxt`` call, not the loop.
     """
     # Only a regular file can be read again by loadtxt and then by the loop;
     # a pipe such as ``--graph <(zcat g.tsv.gz)`` yields its bytes once.
@@ -240,10 +258,18 @@ def _load_bulk(path) -> np.ndarray | None:
         if len(parts) not in (2, 3):
             return None
         dtype = [("u", np.int64), ("v", np.int64)] + [("w", np.float64)] * (len(parts) == 3)
-        # comments=None: with "#", loadtxt would accept "0 1 1 # c", which the
-        # loop rejects for its five fields.
-        table = np.loadtxt(path, dtype=dtype, comments=None, skiprows=skip,
-                           encoding="utf-8-sig", ndmin=1)
+        load = functools.partial(np.loadtxt, path, dtype=dtype, skiprows=skip,
+                                 encoding="utf-8-sig", ndmin=1)
+        try:
+            # comments=None: with "#", loadtxt would accept "0 1 1 # c", which
+            # the loop rejects for its five fields.
+            table = load(comments=None)
+        except ValueError:
+            # Perhaps a "#" line after the first data line. Where only blanks
+            # precede every "#", loadtxt drops just the lines the loop skips.
+            if not _hash_lines_only(path):
+                return None
+            table = load(comments="#")
     except ValueError:  # UnicodeDecodeError included: the loop raises its own
         return None
     if min(table["u"].min(), table["v"].min()) < 0:

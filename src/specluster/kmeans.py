@@ -308,7 +308,10 @@ def _sweep(coords, sq_norms, centers, delta, labels, upper, lower) -> np.ndarray
             return labels
     _repair_empty(labels, d2_own, k)
     # A promoted point's bounds refer to its old center: lower = 0 forces
-    # its recomputation next sweep.
+    # its recomputation next sweep. lloyd would recompute it anyway, since
+    # its new center, the point itself, moved at least the point's computed
+    # distance to it, so _loosen leaves upper >= lower; but only 0 still
+    # bounds the distance to the old center, now another cluster's.
     lower[labels != nearest] = 0.0
     return labels
 

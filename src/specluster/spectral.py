@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from specluster.errors import GraphFormatError, InputError, RankDeficiencyError, SpeclusterError
-from specluster.graph import Graph, data_lines, write_rows
+from specluster.errors import InputError, RankDeficiencyError, SpeclusterError
+from specluster.graph import Graph, write_rows
 
 GENERATOR_NAME = "numpy-pcg64-ziggurat"
 
@@ -48,13 +48,20 @@ class SignlessLaplacianOp:
     does and every other term is elementwise, so the result is bitwise the
     same for any ``parts``. The blocks' ``data`` and ``indices`` are views
     of the graph's arrays; only their small ``indptr`` is new.
+
+    ``power_chains`` runs each column of a block through all its steps as
+    one task of ``pmap``. Those steps go through ``_whole``, the operator
+    of the same graph as one row range on the builtin map, so that a task
+    never submits to the pool it runs on.
     """
 
     def __init__(self, graph: Graph, parts: int = 1, pmap=map):
         self.n = graph.n
+        self.parts = parts
         self.inv_sqrt_degrees = 1.0 / np.sqrt(graph.degrees)
         self._blocks = _row_blocks(graph.adj, parts)
         self._pmap = pmap
+        self._whole = self if parts == 1 and pmap is map else SignlessLaplacianOp(graph)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -69,6 +76,24 @@ class SignlessLaplacianOp:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
+
+    def power_chains(self, x: np.ndarray, t: int) -> np.ndarray:
+        """M^t x for an (n, l) block, each column's t steps as one task of ``pmap``.
+
+        scipy multiplies an (n,) operand with its one-vector CSR kernel,
+        which adds each row's entries in the order its block kernel does, so
+        the columns are bitwise those of t block steps. Each task builds its
+        own arrays and returns its column; ``np.stack`` copies the columns
+        into a new C-ordered block, in order.
+        """
+
+        def chain(j: int) -> np.ndarray:
+            y = x[:, j]
+            for _ in range(t):
+                y = self._whole @ y
+            return y
+
+        return np.stack(list(self._pmap(chain, range(x.shape[1]))), axis=1)
 
 
 def _row_blocks(adj, parts: int) -> list[tuple[int, int, object]]:
@@ -105,10 +130,20 @@ def power_method(op, x0: np.ndarray, t: int) -> np.ndarray:
     SignlessLaplacianOp or any matrix that supports ``@``, so synthetic
     operators with a prescribed spectrum work too. ``x0`` may be a vector
     or an (n, l) column block.
+
+    A SignlessLaplacianOp cut for T threads runs a block of T to 2T columns
+    as independent chains, one per column. Each thread then gets one or
+    two, and chains of one-vector products, with no join between steps,
+    measured faster there than block steps split into row ranges; wider
+    blocks gained nothing. Other widths step the whole block on row
+    ranges. Both give the same bits.
     """
     if t < 0:
         raise InputError(f"power method step count must be >= 0, got {t}")
     x = np.array(x0, dtype=np.float64, copy=True)
+    width = x.shape[1] if x.ndim == 2 else 0
+    if isinstance(op, SignlessLaplacianOp) and op.parts <= width <= 2 * op.parts:
+        return op.power_chains(x, int(t))
     for _ in range(int(t)):
         x = op @ x
     return x
@@ -157,37 +192,6 @@ def save_embedding(em: EmbeddingMatrix, path) -> None:
         f"# generator={GENERATOR_NAME} numpy={np.__version__}",
     ]
     write_rows(path, header, ",".join(["%.17g"] * em.l) + "\n", *em.data.T)
-
-
-def load_embedding(path) -> EmbeddingMatrix:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(_EMBEDDING_MAGIC):
-            raise GraphFormatError(f"{path}:1: missing '{_EMBEDDING_MAGIC}' header")
-        try:
-            fields = dict(tok.split("=", 1) for tok in header.split()[1:])
-            n, ncols = int(fields["n"]), int(fields["l"])
-            scaled, seed = fields["scaled"] == "1", int(fields["seed"])
-        except (KeyError, ValueError):
-            raise GraphFormatError(f"{path}:1: malformed header {header!r}") from None
-        rows = []
-        for lineno, line in data_lines(fh, start=2):
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: bad row") from None
-            if len(row) != ncols:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {ncols} values, got {len(row)}"
-                )
-            rows.append(row)
-    data = np.asarray(rows, dtype=np.float64)
-    if data.shape != (n, ncols):
-        raise GraphFormatError(
-            f"{path}: header promises {n}x{ncols} but file holds "
-            f"{data.shape[0]}x{data.shape[1] if data.ndim == 2 else 1}"
-        )
-    return EmbeddingMatrix(data=data, scaled=scaled, seed=seed)
 
 
 def sample_gaussian_vectors(n: int, l: int, seed: int) -> EmbeddingMatrix:

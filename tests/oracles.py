@@ -17,12 +17,13 @@ from typing import Iterator
 import numpy as np
 
 from specluster import kmeans
-from specluster.errors import InputError, RankDeficiencyError, SpeclusterError
+from specluster.errors import GraphFormatError, InputError, RankDeficiencyError, SpeclusterError
 from specluster.generate import SbmParams
-from specluster.graph import Graph, conductance, from_edges
+from specluster.graph import Graph, conductance, data_lines, from_edges
 from specluster.kmeans import Partition, PointSet, kmeans_cost
 from specluster.pipeline import _steps_for
 from specluster.spectral import (
+    _EMBEDDING_MAGIC,
     _TAG_EIGS_INIT,
     EigsResult,
     EmbeddingMatrix,
@@ -173,6 +174,42 @@ def pm_k_orthonormal_vectors_reference(op, k, t, seed) -> EmbeddingMatrix:
         )
     signs = np.sign(np.diag(r))
     return EmbeddingMatrix(data=q * signs[None, :], scaled=False, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Reading outputs back: the library writes embedding.csv but never reads it.
+
+
+def load_embedding(path) -> EmbeddingMatrix:
+    """The ``EmbeddingMatrix`` that ``save_embedding`` wrote to ``path``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header = fh.readline().strip()
+        if not header.startswith(_EMBEDDING_MAGIC):
+            raise GraphFormatError(f"{path}:1: missing '{_EMBEDDING_MAGIC}' header")
+        try:
+            fields = dict(tok.split("=", 1) for tok in header.split()[1:])
+            n, ncols = int(fields["n"]), int(fields["l"])
+            scaled, seed = fields["scaled"] == "1", int(fields["seed"])
+        except (KeyError, ValueError):
+            raise GraphFormatError(f"{path}:1: malformed header {header!r}") from None
+        rows = []
+        for lineno, line in data_lines(fh, start=2):
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                raise GraphFormatError(f"{path}:{lineno}: bad row") from None
+            if len(row) != ncols:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected {ncols} values, got {len(row)}"
+                )
+            rows.append(row)
+    data = np.asarray(rows, dtype=np.float64)
+    if data.shape != (n, ncols):
+        raise GraphFormatError(
+            f"{path}: header promises {n}x{ncols} but file holds "
+            f"{data.shape[0]}x{data.shape[1] if data.ndim == 2 else 1}"
+        )
+    return EmbeddingMatrix(data=data, scaled=scaled, seed=seed)
 
 
 # ---------------------------------------------------------------------------

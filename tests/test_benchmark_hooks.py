@@ -70,8 +70,11 @@ def test_traced_cluster_counts(tracing, tmp_path, mode, threads):
         assert tracer.count(name) == 1, name
     result = tracer.last["pipeline.fast_spectral_cluster"]
     if mode == "pm_log_k":
+        # k = 4 gives l = 2 columns, inside the band [threads, 2 threads] at
+        # one and two threads: each column is its own chain of t products.
+        assert result.l == 2
         assert tracer.count("spectral.power_method") == 1
-        assert tracer.count("spectral.matvec") == result.t
+        assert tracer.count("spectral.matvec") == result.l * result.t
     else:
         assert tracer.count("spectral.eigs") == 1
         assert tracer.count("spectral.matvec") == result.eigs_iterations

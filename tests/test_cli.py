@@ -15,7 +15,7 @@ from specluster.generate import SbmParams, sample_sbm
 from specluster.graph import load_edge_list, load_labels, save_edge_list, save_labels
 from specluster.kmeans import Partition
 from specluster.metrics import ari
-from specluster.spectral import load_embedding
+from tests.oracles import load_embedding
 from tests.test_pipeline import disjoint_cliques
 
 

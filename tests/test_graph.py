@@ -378,8 +378,17 @@ _PARSE_CASES = [
     ("two_fields", b"0\t1\n1\t2\n2\t0\n", _BULK),
     ("three_fields", b"0\t1\t0.5\n1\t2\t2\n2\t0\t3e-3\n", _BULK),
     ("mixed_fields", b"0\t1\n1\t2\t2.0\n2\t0\n", _LOOP),
-    ("hash_mid_file", b"0\t1\n# mid\n1\t2\n2\t0\n", _LOOP),
+    ("hash_mid_file", b"0\t1\n# mid\n1\t2\n2\t0\n", _BULK),
+    ("hash_last_line", b"0\t1\n1\t2\n2\t0\n# end\n", _BULK),
+    ("hash_last_line_no_newline", b"0\t1\t2\n1\t2\t3\n# end", _BULK),
+    ("hash_indented_and_bare", b"0\t1\t1\n \t# c # d\n#\n1\t2\t2\n", _BULK),
+    ("bom_hash_header_and_mid", b"\xef\xbb\xbf# h\r\n0\t1\r\n# mid\r\n1\t2\r\n", _BULK),
     ("hash_after_weight", b"0\t1\t1 # c\n1\t2\t1\n", _LOOP),
+    ("hash_after_fields", b"0 1 # c\n1 2\n", _LOOP),
+    ("hash_in_id", b"0 1#x\n1 2\n", _LOOP),
+    ("hash_line_then_hash_in_id", b"0\t1\n# c\n1\t2#x\n", _LOOP),
+    ("hash_line_and_mixed_fields", b"0\t1\n# c\n1\t2\t2.0\n", _LOOP),
+    ("hash_line_and_string_ids", b"a\tb\n# c\nb\tc\n", _LOOP),
     ("string_ids", b"a\tb\nb\tc\nc\ta\n", _LOOP),
     ("negative_ids", b"-1\t0\n0\t1\n1\t-1\n", _LOOP),
     ("plus_and_leading_zero", b"+5\t03\n03\t4\n4\t+5\n", _BULK),
@@ -436,6 +445,36 @@ def test_bulk_parse_matches_line_loop(tmp_path, monkeypatch, name, data, bulk,
     assert taken == [bulk]
     monkeypatch.setattr(specluster.graph, "_load_bulk", lambda p: None)  # the loop only
     assert got == _load_outcome(path, **flags)
+
+
+def test_bulk_parse_scans_for_hash_lines_only_after_a_failed_load(tmp_path, monkeypatch):
+    # A file that loadtxt parses without comment handling costs one call and
+    # no scan; a "#" line after the data costs the scan and a second call.
+    seen = []
+    real_loadtxt, real_scan = np.loadtxt, specluster.graph._hash_lines_only
+
+    def loadtxt(*args, **kwargs):
+        seen.append(("loadtxt", kwargs["comments"]))
+        return real_loadtxt(*args, **kwargs)
+
+    def scan(path):
+        seen.append(("scan", real_scan(path)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(specluster.graph.np, "loadtxt", loadtxt)
+    monkeypatch.setattr(specluster.graph, "_hash_lines_only", scan)
+    path = tmp_path / "g.tsv"
+    path.write_bytes(b"# header\n0\t1\n1\t2\n2\t0\n")
+    assert load_edge_list(path).graph.num_edges == 3
+    assert seen == [("loadtxt", None)]
+    seen.clear()
+    path.write_bytes(b"# header\n0\t1\n1\t2\n2\t0\n# end\n")
+    assert load_edge_list(path).graph.num_edges == 3
+    assert seen == [("loadtxt", None), ("scan", True), ("loadtxt", "#")]
+    seen.clear()
+    path.write_bytes(b"0\t1\n1\t2\n2\t0#c\n")
+    assert load_edge_list(path).id_map == ["0", "1", "2", "0#c"]  # the loop's string ids
+    assert seen == [("loadtxt", None), ("scan", False)]
 
 
 def test_edge_list_from_a_pipe_is_read_once(tmp_path):

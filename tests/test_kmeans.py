@@ -279,6 +279,25 @@ def test_bounded_lloyd_matches_full_assignment_sweep_by_sweep(monkeypatch):
     assert seen["one_row"] > 0
 
 
+def test_sweep_keeps_lower_a_lower_bound_for_a_promoted_point():
+    # No point is nearest to centre 2, so its cluster comes out empty and
+    # takes the point farthest from its centre: 11, computed against centre
+    # 1. Centre 1 is now another cluster's, at distance 1, below the
+    # point's second-nearest distance of 11; only lower = 0 still bounds it.
+    coords = np.array([[0.0], [0.0], [10.0], [11.0]])
+    centers = np.array([[0.0], [10.0], [100.0]])
+    n = coords.shape[0]
+    sq_norms = np.einsum("ij,ij->i", coords, coords)
+    delta = 20 * np.finfo(np.float64).eps * (np.abs(coords[:, 0]) + 100.0) ** 2
+    upper, lower = np.full(n, np.inf), np.zeros(n)
+    labels = kmeans._sweep(coords, sq_norms, centers, delta, np.zeros(n, dtype=np.int64),
+                           upper, lower)
+    assert labels.tolist() == [0, 0, 1, 2]
+    dist = np.abs(coords - centers.T)
+    for i in range(n):
+        assert lower[i] <= np.delete(dist[i], labels[i]).min(), i
+
+
 def test_lloyd_recovers_separated_blobs():
     hits = 0
     for seed in range(100):

@@ -196,16 +196,24 @@ def test_one_thread_starts_no_thread(monkeypatch, mode):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("mode", ["pm_log_k", "pm_k", "eigs_k"])
-def test_more_threads_than_cores_change_no_bit(mode):
-    # Eight workers with a thread switch forced every microsecond: a lost or
-    # misplaced row write, or a restart reading another's arrays, would show.
+@pytest.mark.parametrize("mode, k, threads", [
+    pytest.param("pm_log_k", 7, 8, id="pm_log_k"),
+    pytest.param("pm_k", 7, 8, id="pm_k"),
+    pytest.param("eigs_k", 7, 8, id="eigs_k"),
+    # l inside the band [threads, 2 threads]: one power chain per column
+    pytest.param("pm_k", 8, 8, id="pm_k-chains"),
+    pytest.param("pm_log_k", 4, 2, id="pm_log_k-chains"),
+])
+def test_more_threads_than_cores_change_no_bit(mode, k, threads):
+    # More workers than cores with a thread switch forced every microsecond:
+    # a lost or misplaced row or column write, or a restart reading
+    # another's arrays, would show.
     sample = sample_sbm(SbmParams(n=1001, k=7, p=0.05, q=0.002, seed=1))
-    want = fast_spectral_cluster(sample.graph, SpectralParams(k=7, mode=mode, threads=1))
+    want = fast_spectral_cluster(sample.graph, SpectralParams(k=k, mode=mode, threads=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = fast_spectral_cluster(sample.graph, SpectralParams(k=7, mode=mode, threads=8))
+        got = fast_spectral_cluster(sample.graph, SpectralParams(k=k, mode=mode, threads=threads))
     finally:
         sys.setswitchinterval(interval)
     assert got.embedding.data.tobytes() == want.embedding.data.tobytes()

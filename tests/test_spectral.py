@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from specluster.spectral import (
     EmbeddingMatrix,
     SignlessLaplacianOp,
     _qr,
-    load_embedding,
     pm_k_orthonormal_vectors,
     power_method,
     sample_gaussian_vectors,
@@ -24,6 +24,7 @@ from specluster.spectral import (
 from tests.oracles import (
     apply_m,
     dense_signless_laplacian,
+    load_embedding,
     pm_k_orthonormal_vectors_reference,
     random_graph,
     subspace_iteration_eigs_reference,
@@ -313,6 +314,88 @@ def test_pm_k_matches_frozen_orthonormalization_bitwise(threads):
             got = pm_k_orthonormal_vectors(op, k, t, seed=i)
             ref = pm_k_orthonormal_vectors_reference(op, k, t, seed=i)
             assert np.array_equal(got.data, ref.data), i
+
+
+def _chain_graphs():
+    """The frozen solver graphs, then one whose weights span e^-9 to e^9."""
+    yield from _frozen_solver_graphs()
+    rng = np.random.default_rng(23)
+    n = 80
+    ring = np.arange(n)
+    u = np.concatenate([ring, rng.integers(0, n, 300)])
+    v = np.concatenate([(ring + 1) % n, rng.integers(0, n, 300)])
+    keep = u != v
+    g, _ = from_edges(n, u[keep], v[keep], np.exp(rng.uniform(-9.0, 9.0, int(keep.sum()))))
+    yield g
+
+
+def test_a_chain_never_submits_to_the_pool_it_runs_on():
+    # A pool task that submits to its own pool and waits can deadlock. This
+    # map raises instead when one of its tasks calls it, so a chain that
+    # stepped through the row-split product would fail here, not hang.
+    tasks = threading.local()
+    calls = []
+
+    def guarded(pool_map):
+        def gmap(fn, items):
+            if getattr(tasks, "inside", False):
+                raise AssertionError("pmap called from one of its own tasks")
+            calls.append(None)
+
+            def task(item):
+                tasks.inside = True
+                try:
+                    return fn(item)
+                finally:
+                    tasks.inside = False
+
+            return pool_map(task, items)
+
+        return gmap
+
+    g = next(_frozen_solver_graphs())
+    x0 = np.random.default_rng(25).standard_normal((g.n, 3))
+    want = power_method(SignlessLaplacianOp(g), x0, 7)
+    with worker_map(2) as pmap:
+        op = SignlessLaplacianOp(g, 2, guarded(pmap))
+        got = power_method(op, x0, 7)
+    assert calls == [None]  # one map over the three chains
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_power_method_is_bitwise_the_row_split_steps(monkeypatch, threads):
+    # Inside the band [threads, 2 threads] each column is its own chain of
+    # (n,) products; outside it the block steps on row ranges. Either way
+    # the bits are those of stepping the block with the operator's own
+    # row-split product, and x0 is left as it was.
+    operands = []
+    real_matvec = SignlessLaplacianOp.matvec
+
+    def matvec(self, x):
+        operands.append(np.ndim(x))
+        return real_matvec(self, x)
+
+    monkeypatch.setattr(SignlessLaplacianOp, "matvec", matvec)
+    rng = np.random.default_rng(24)
+    with worker_map(threads) as pmap:
+        for i, g in enumerate(_chain_graphs()):
+            op = SignlessLaplacianOp(g, threads, pmap)
+            for width in range(1, 6):
+                x0 = rng.standard_normal((g.n, width))
+                before = x0.tobytes()
+                for t in (0, 1, 9):
+                    want = x0
+                    for _ in range(t):
+                        want = op @ want
+                    operands.clear()
+                    got = power_method(op, x0, t)
+                    case = (i, width, t)
+                    assert got.shape == want.shape and got.flags.c_contiguous, case
+                    assert got.tobytes() == want.tobytes(), case
+                    assert x0.tobytes() == before, case
+                    chains = threads <= width <= 2 * threads
+                    assert operands == ([1] * width * t if chains else [2] * t), case
 
 
 def test_pm_k_rank_deficiency_message_matches_frozen_orthonormalization():
