@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from specluster.errors import GraphFormatError, InputError
-from specluster.graph import Graph, data_lines, from_edges, write_rows
+from specluster.graph import Graph, data_lines, from_edges
 from specluster.kmeans import Partition, PointSet
 from specluster.spectral import GENERATOR_NAME, rng_for
 
@@ -278,17 +278,6 @@ def load_points_csv(path) -> PointCloud:
         raise GraphFormatError(f"{path}: points need at least one coordinate column")
     labels = np.asarray(labels_list, dtype=np.int64) if label_col is not None else None
     return PointCloud(points=PointSet(coords), labels=labels)
-
-
-def save_points_csv(pc: PointCloud, path) -> None:
-    names = [f"x{i}" for i in range(pc.d)]
-    fmts = ["%.17g"] * pc.d
-    columns = list(pc.points.coords.T)
-    if pc.labels is not None:
-        names.append("label")
-        fmts.append("%d")
-        columns.append(pc.labels)
-    write_rows(path, [",".join(names)], ",".join(fmts) + "\n", *columns)
 
 
 def write_sbm_metadata(sample: SbmSample, path) -> None:

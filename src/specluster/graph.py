@@ -57,10 +57,6 @@ class Graph:
         return self.adj.shape[0]
 
     @property
-    def row_offsets(self) -> np.ndarray:
-        return self.adj.indptr
-
-    @property
     def col_indices(self) -> np.ndarray:
         return self.adj.indices
 

@@ -16,6 +16,7 @@ import functools
 import math
 import os
 import queue
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -29,6 +30,7 @@ from specluster.kmeans import Partition, PointSet, lloyd
 from specluster.spectral import (
     EmbeddingMatrix,
     SignlessLaplacianOp,
+    numpy_blas_symbol,
     pm_k_orthonormal_vectors,
     power_method,
     sample_gaussian_vectors,
@@ -104,6 +106,38 @@ def _map_with_caller(pool: ThreadPoolExecutor, helpers: int, fn, items) -> list:
     return [outcome.result() for outcome in outcomes]
 
 
+# numpy's OpenBLAS thread count, which is process-wide; None under another BLAS
+_GET_BLAS_THREADS = numpy_blas_symbol("scipy_openblas_get_num_threads64_")
+_SET_BLAS_THREADS = numpy_blas_symbol("scipy_openblas_set_num_threads64_")
+_blas_pin_lock = threading.Lock()
+_blas_pin = {"holders": 0, "saved": 1}
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread; a no-op where it exports no count.
+
+    The count is process-wide, so all holders share one pin: the first to
+    enter saves the count and sets it to 1, and the last to leave restores
+    it. Nested or concurrent holders therefore all see one thread.
+    """
+    if _GET_BLAS_THREADS is None or _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _blas_pin_lock:
+        if _blas_pin["holders"] == 0:
+            _blas_pin["saved"] = _GET_BLAS_THREADS()
+            _SET_BLAS_THREADS(1)
+        _blas_pin["holders"] += 1
+    try:
+        yield
+    finally:
+        with _blas_pin_lock:
+            _blas_pin["holders"] -= 1
+            if _blas_pin["holders"] == 0:
+                _SET_BLAS_THREADS(_blas_pin["saved"])
+
+
 @contextmanager
 def worker_map(threads: int):
     """An order-keeping ``map`` that runs on ``threads`` threads, the caller's included.
@@ -112,12 +146,18 @@ def worker_map(threads: int):
     pool of ``threads - 1`` threads lives as long as the ``with`` block. The
     caller works too, so that less of the work allocates in the pool
     threads' malloc arenas, which keep their peak after the pool closes.
+
+    While the pool lives, numpy's OpenBLAS runs on one thread, so that its
+    own threads do not compete with the pool's for the cores. The count is
+    process-wide: two ``worker_map`` blocks alive at once, in one thread or
+    in two, both see one BLAS thread, and the count is restored only when
+    the last of them closes. One thread leaves the count as it is.
     """
     if threads == 1:
         yield map
         return
     try:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=threads - 1) as pool:
             yield functools.partial(_map_with_caller, pool, threads - 1)
     finally:
         _release_free_heap()

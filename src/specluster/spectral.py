@@ -13,6 +13,7 @@ are drawn, and independent computations never share a stream.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,19 +214,78 @@ def sample_gaussian_vectors(n: int, l: int, seed: int) -> EmbeddingMatrix:
 # Eigensolver (block power / subspace iteration)
 
 
-def _lapack(routine, *args) -> None:
-    """Run a ``lapack_lite`` routine: a workspace query, then the call.
+# numpy's bundled OpenBLAS, reached through the handle of the module that
+# links it: dlsym on that handle also searches the libraries it loaded.
+try:
+    _NUMPY_LAPACK = ctypes.CDLL(lapack_lite.__file__)
+except OSError:
+    _NUMPY_LAPACK = None
+
+
+def numpy_blas_symbol(name: str):
+    """The ctypes function ``name`` of numpy's OpenBLAS, or None where it has none."""
+    return getattr(_NUMPY_LAPACK, name, None)
+
+
+_LAPACK_NAMES = ("dgeqrf", "dorgqr")
+
+
+def _ctypes_routines() -> dict | None:
+    """``dgeqrf`` and ``dorgqr`` of numpy's OpenBLAS through ctypes, or None.
+
+    They are the ``scipy_*_64_`` symbols that ``lapack_lite`` and
+    ``np.linalg.qr`` call: Fortran calling convention, every argument by
+    reference, int64 integers. ctypes releases the GIL for the call, which
+    ``lapack_lite`` does not, so two threads can factor at once.
+    """
+    functions = [numpy_blas_symbol(f"scipy_{name}_64_") for name in _LAPACK_NAMES]
+    if None in functions:
+        return None
+
+    def routine(function):
+        function.restype = None
+
+        def call(*args) -> int:
+            refs = []
+            for arg in args:
+                if isinstance(arg, np.ndarray):
+                    if arg.dtype != np.float64 or not arg.flags.c_contiguous:
+                        raise ValueError("LAPACK arrays must be C-contiguous float64")
+                    refs.append(arg.ctypes.data_as(ctypes.c_void_p))
+                else:
+                    refs.append(ctypes.byref(ctypes.c_int64(arg)))
+            info = ctypes.c_int64()
+            function(*refs, ctypes.byref(info))
+            return info.value
+
+        return call
+
+    return {name: routine(f) for name, f in zip(_LAPACK_NAMES, functions)}
+
+
+def _lapack_lite_routines() -> dict:
+    """``dgeqrf`` and ``dorgqr`` through ``lapack_lite``: the same symbols, GIL held."""
+    return {name: lambda *args, f=getattr(lapack_lite, name): f(*args, 0)["info"]
+            for name in _LAPACK_NAMES}
+
+
+_ROUTINES = _ctypes_routines() or _lapack_lite_routines()
+
+
+def _lapack(name: str, *args) -> None:
+    """Run LAPACK routine ``name``: a workspace query, then the call.
 
     ``args`` are the routine's arguments before its workspace. The
     workspace is the larger of the queried optimum and the column count
-    ``args[1]``, as ``np.linalg.qr`` sizes it. ``lapack_lite`` checks only
-    the arrays' dtype and contiguity, so the caller must size them.
+    ``args[1]``, as ``np.linalg.qr`` sizes it. Only the arrays' dtype and
+    contiguity are checked, so the caller must size them.
     """
+    routine = _ROUTINES[name]
     work = np.empty(1)
     for query in (True, False):
-        info = routine(*args, work, -1 if query else work.size, 0)["info"]
+        info = routine(*args, work, -1 if query else work.size)
         if info != 0:
-            raise SpeclusterError(f"LAPACK {routine.__name__} returned info={info}")
+            raise SpeclusterError(f"LAPACK {name} returned info={info}")
         if query:
             work = np.empty(max(int(work[0]), args[1], 1))
 
@@ -234,7 +294,7 @@ def _qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of an n x k block with n >= k, bitwise ``np.linalg.qr(b)``.
 
     ``np.linalg.qr`` runs LAPACK ``dgeqrf`` then ``dorgqr`` from numpy's
-    bundled OpenBLAS; ``lapack_lite`` calls the same two symbols with less
+    bundled OpenBLAS; ``_lapack`` calls the same two symbols with less
     wrapping around them. The routines work on one column-major copy of
     ``b``, held as its C-ordered transpose; ``b`` itself is not written.
     ``Q`` comes back C-ordered, as ``np.linalg.qr`` returns it.
@@ -244,9 +304,9 @@ def _qr(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputError(f"reduced QR needs rows >= columns, got {n} x {k}")
     a = np.array(b.T, dtype=np.float64, order="C")
     tau = np.empty(k)
-    _lapack(lapack_lite.dgeqrf, n, k, a, n, tau)
+    _lapack("dgeqrf", n, k, a, n, tau)
     r = np.triu(a.T[:k])
-    _lapack(lapack_lite.dorgqr, n, k, k, a, n, tau)
+    _lapack("dorgqr", n, k, k, a, n, tau)
     return np.ascontiguousarray(a.T), r
 
 
@@ -273,36 +333,65 @@ def subspace_iteration_eigs(
     re-orthonormalizes. Stops when every residual is at most ``tol``.
     Non-convergence is reported through ``converged=False``, not raised:
     callers doing benchmarking want the partial answer and the flag.
+
+    The Ritz step and the QR of the product ``b = M q`` need nothing from
+    each other, so each sweep runs them as two tasks of the operator's
+    thread map (the builtin ``map`` for a dense or synthetic operator).
+    Both read ``q`` or ``b`` only and write their own buffers, so the bits
+    are those of running them in order; ``q`` takes the new basis after
+    the join. The builtin ``map`` is lazy, so there a converged sweep runs
+    no QR. Every n x k buffer is allocated here, on the calling thread,
+    and reused: glibc keeps a pool thread's large allocations resident in
+    its own malloc arena.
     """
     n = op.n
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = rng_for(seed, _TAG_EIGS_INIT)
     q, _ = _qr(rng.standard_normal((n, k)))
+    pmap = op._pmap if isinstance(op, SignlessLaplacianOp) else map
+    ritz, bw = np.empty((n, k)), np.empty((n, k))
+    a, tau = np.empty((k, n)), np.empty(k)  # a holds the column-major QR block
+    order = np.arange(k - 1, -1, -1)  # descending eigenvalue, stable in index
+    chunk = -(-n // 16)  # rows per step of the residual
+
+    def ritz_step(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = q.T @ b
+        h = 0.5 * (h + h.T)
+        evals, w = np.linalg.eigh(h)  # ascending
+        evals, w = evals[order], w[:, order]
+        np.matmul(q, w, out=ritz)
+        # Bitwise np.linalg.norm(b @ w - ritz * evals, axis=0), which for
+        # real input squares elementwise and reduces over axis 0; the rows
+        # go in chunks so that no temporary is n x k.
+        np.matmul(b, w, out=bw)
+        for start in range(0, n, chunk):
+            bw[start:start + chunk] -= ritz[start:start + chunk] * evals
+        np.multiply(bw, bw, out=bw)
+        return evals, np.sqrt(np.add.reduce(bw, axis=0))
+
+    def factor(b: np.ndarray) -> None:
+        np.copyto(a, b.T)
+        _lapack("dgeqrf", n, k, a, n, tau)
+        _lapack("dorgqr", n, k, k, a, n, tau)
 
     theta = np.zeros(k)
-    ritz = q
     resid = np.full(k, np.inf)
     used = 0
     converged = False
     for it in range(1, int(iters) + 1):
         b = op @ q
-        h = q.T @ b
-        h = 0.5 * (h + h.T)
-        evals, w = np.linalg.eigh(h)  # ascending
-        order = np.arange(k - 1, -1, -1)  # descending eigenvalue, stable in index
-        evals, w = evals[order], w[:, order]
-        ritz = q @ w
-        resid = np.linalg.norm(b @ w - ritz * evals[None, :], axis=0)
-        theta = evals
+        tasks = iter(pmap(lambda task: task(b), (ritz_step, factor)))
+        theta, resid = next(tasks)
         used = it
         if resid.max() <= tol:
             converged = True
             break
-        q, _ = _qr(b)
+        next(tasks)
+        np.copyto(q, a.T)
 
     # Ritz vectors are orthonormal (rotation of an orthonormal block).
-    vectors = EmbeddingMatrix(data=ritz, scaled=False, seed=seed)
+    vectors = EmbeddingMatrix(data=ritz if used else q, scaled=False, seed=seed)
     return EigsResult(
         values=theta, vectors=vectors, residuals=resid, iterations=used, converged=converged
     )

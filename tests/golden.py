@@ -26,15 +26,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-if __name__ == "__main__":  # run as a script: import the package from this checkout
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":  # run as a script: import the package and tests from this checkout
+    sys.path[:0] = [str(Path(__file__).resolve().parents[1] / part) for part in ("src", "")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import specluster  # noqa: E402
-from specluster.generate import PointCloud, save_points_csv  # noqa: E402
+from specluster.generate import PointCloud  # noqa: E402
 from specluster.kmeans import PointSet  # noqa: E402
+from tests.oracles import save_points_csv  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("golden.json")
 RECORD_COMMAND = "python tests/golden.py --record"

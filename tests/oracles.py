@@ -18,8 +18,8 @@ import numpy as np
 
 from specluster import kmeans
 from specluster.errors import GraphFormatError, InputError, RankDeficiencyError, SpeclusterError
-from specluster.generate import SbmParams
-from specluster.graph import Graph, conductance, data_lines, from_edges
+from specluster.generate import PointCloud, SbmParams
+from specluster.graph import Graph, conductance, data_lines, from_edges, write_rows
 from specluster.kmeans import Partition, PointSet, kmeans_cost
 from specluster.pipeline import _steps_for
 from specluster.spectral import (
@@ -174,6 +174,22 @@ def pm_k_orthonormal_vectors_reference(op, k, t, seed) -> EmbeddingMatrix:
         )
     signs = np.sign(np.diag(r))
     return EmbeddingMatrix(data=q * signs[None, :], scaled=False, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Writing inputs: the library reads points CSV files but never writes them.
+
+
+def save_points_csv(pc: PointCloud, path) -> None:
+    """Write a point cloud as ``load_points_csv`` reads it: a header, then x0.. and label."""
+    names = [f"x{i}" for i in range(pc.d)]
+    fmts = ["%.17g"] * pc.d
+    columns = list(pc.points.coords.T)
+    if pc.labels is not None:
+        names.append("label")
+        fmts.append("%d")
+        columns.append(pc.labels)
+    write_rows(path, [",".join(names)], ",".join(fmts) + "\n", *columns)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_knn_graph_command(tmp_path):
     assert run_cli("knn-graph", "--points", pts, "--knn", 5, "--out", out) == 0
     g = load_edge_list(out / "graph.tsv").graph
     assert g.n == 40
-    assert (np.diff(g.row_offsets) >= 5).all()
+    assert (np.diff(g.adj.indptr) >= 5).all()
     labels = load_labels(out / "labels.txt", expected_n=40)
     assert labels.tolist() == [0] * 20 + [1] * 20
 
@@ -379,6 +379,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc")
+def test_cli_import_loads_one_openblas():
+    # numpy's LAPACK calls and its BLAS thread pin reach numpy's bundled
+    # OpenBLAS; scipy.linalg would map scipy's own copy, with its own threads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import specluster.cli\n"
+         "print(len({line.split()[-1] for line in open('/proc/self/maps')"
+         " if 'openblas' in line.lower()}))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_version_flag():

@@ -10,12 +10,11 @@ from specluster.generate import (
     build_knn_graph,
     load_points_csv,
     sample_sbm,
-    save_points_csv,
 )
 from specluster.kmeans import Partition, PointSet
 from specluster.metrics import ari
 from specluster.pipeline import SpectralParams, fast_spectral_cluster
-from tests.oracles import sbm_expected_edges
+from tests.oracles import save_points_csv, sbm_expected_edges
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def test_sbm_deterministic_given_seed():
     a = sample_sbm(SbmParams(n=60, k=3, p=0.4, q=0.05, seed=5))
     b = sample_sbm(SbmParams(n=60, k=3, p=0.4, q=0.05, seed=5))
     assert np.array_equal(a.graph.col_indices, b.graph.col_indices)
-    assert np.array_equal(a.graph.row_offsets, b.graph.row_offsets)
+    assert np.array_equal(a.graph.adj.indptr, b.graph.adj.indptr)
     c = sample_sbm(SbmParams(n=60, k=3, p=0.4, q=0.05, seed=6))
     assert not np.array_equal(a.graph.col_indices, c.graph.col_indices)
 
@@ -155,7 +154,7 @@ def test_knn_degrees_at_least_k_for_distinct_points():
     pts = rng.standard_normal((50, 2))
     for k_nn in (1, 3, 10):
         g = build_knn_graph(pts, k_nn)
-        counts = np.diff(g.row_offsets)
+        counts = np.diff(g.adj.indptr)
         assert counts.min() >= k_nn
 
 
@@ -165,14 +164,14 @@ def test_knn_ties_break_toward_lower_index():
     # the union step cannot sneak the edge {0, 2} back in
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.2, 0.0], [1.2, 0.0]])
     g = build_knn_graph(pts, 1)
-    assert g.col_indices[g.row_offsets[0]:g.row_offsets[1]].tolist() == [1]
+    assert g.col_indices[g.adj.indptr[0]:g.adj.indptr[1]].tolist() == [1]
 
 
 def test_knn_duplicate_points_allowed():
     pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 0.0]] * 2)
     g = build_knn_graph(pts, 2)
     assert g.n == 5
-    assert np.all(np.diff(g.row_offsets) >= 1)
+    assert np.all(np.diff(g.adj.indptr) >= 1)
 
 
 def test_knn_separated_blobs_pipeline_recovery():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import subprocess
 import sys
 import threading
 
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
 
-from specluster import kmeans
+from specluster import kmeans, pipeline
 from specluster.errors import InputError
 from specluster.generate import SbmParams, sample_sbm
-from specluster.graph import from_edges
+from specluster.graph import from_edges, save_edge_list
 from specluster.kmeans import Partition, kmeans_cost
 from specluster.metrics import ari
-from specluster.pipeline import C3, SpectralParams, fast_spectral_cluster
+from specluster.pipeline import C3, SpectralParams, fast_spectral_cluster, worker_map
 from specluster.spectral import (
     SignlessLaplacianOp,
     power_method,
@@ -92,6 +93,97 @@ def test_pipeline_rejects_k_and_l_beyond_n():
         fast_spectral_cluster(g, SpectralParams(k=9))
     with pytest.raises(InputError, match="exceeds"):
         fast_spectral_cluster(g, SpectralParams(k=4, l=20))
+
+
+# ---------------------------------------------------------------------------
+# numpy's OpenBLAS held at one thread while a pool runs
+
+_get_blas = pipeline._GET_BLAS_THREADS
+_set_blas = pipeline._SET_BLAS_THREADS
+needs_blas_count = pytest.mark.skipif(
+    _get_blas is None, reason="numpy's BLAS exports no thread count")
+
+
+@pytest.fixture
+def two_blas_threads():
+    before = _get_blas()
+    _set_blas(2)
+    yield
+    _set_blas(before)
+
+
+@needs_blas_count
+def test_pool_holds_blas_at_one_thread_and_restores_it(two_blas_threads):
+    with worker_map(2):
+        assert _get_blas() == 1
+        with worker_map(3):
+            assert _get_blas() == 1
+        assert _get_blas() == 1
+    assert _get_blas() == 2
+    with pytest.raises(RuntimeError, match="inside"):
+        with worker_map(2):
+            raise RuntimeError("inside")
+    assert _get_blas() == 2
+
+
+@needs_blas_count
+def test_concurrent_pools_restore_blas_when_the_last_closes(two_blas_threads):
+    # This thread's pool closes while another thread's is still open
+    entered, release, seen = threading.Event(), threading.Event(), []
+
+    def other():
+        with worker_map(2):
+            entered.set()
+            release.wait()
+            seen.append(_get_blas())
+
+    runner = threading.Thread(target=other)
+    with worker_map(2):
+        runner.start()
+        assert entered.wait(timeout=30)
+    assert _get_blas() == 1
+    release.set()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert seen == [1]
+    assert _get_blas() == 2
+
+
+@needs_blas_count
+def test_one_thread_leaves_blas_alone(two_blas_threads):
+    with worker_map(1):
+        assert _get_blas() == 2
+
+
+@needs_blas_count
+def test_blas_pin_is_a_no_op_without_the_symbols(monkeypatch, two_blas_threads):
+    monkeypatch.setattr(pipeline, "_GET_BLAS_THREADS", None)
+    monkeypatch.setattr(pipeline, "_SET_BLAS_THREADS", None)
+    with worker_map(2) as pmap:
+        assert list(pmap(abs, [-1, 2])) == [1, 2]
+        assert _get_blas() == 2
+    assert _get_blas() == 2
+
+
+@pytest.mark.parametrize("mode", ["eigs_k", "pm_log_k"])
+def test_cluster_bytes_do_not_depend_on_blas_or_pool_threads(tmp_path, mode):
+    graph = tmp_path / "g.tsv"
+    save_edge_list(sample_sbm(SbmParams(n=600, k=6, p=0.1, q=0.005, seed=2)).graph, graph)
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    outputs = []
+    for blas in (None, "1"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"{blas}-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "specluster.cli", "cluster", "--graph", str(graph),
+                 "--k", "6", "--mode", mode, "--threads", threads, "--out", str(out)],
+                env=env if blas is None else {**env, "OPENBLAS_NUM_THREADS": blas},
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("labels.txt", "embedding.csv", "report.json")])
+    assert all(got == outputs[0] for got in outputs[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from specluster import spectral
 from specluster.errors import GraphFormatError, InputError, RankDeficiencyError
+from specluster.generate import SbmParams, sample_sbm
 from specluster.graph import from_edges
 from specluster.pipeline import worker_map
 from specluster.spectral import (
@@ -261,14 +264,35 @@ def test_qr_rejects_more_columns_than_rows():
         _qr(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "graded", "near-dependent"])
+@pytest.mark.parametrize("n", [3, 50, 1201, 20000])
+def test_lapack_lite_fallback_is_bitwise_the_ctypes_routines(monkeypatch, n, kind):
+    # Where numpy's OpenBLAS exports no scipy_*_64_ symbols, _lapack runs
+    # the same routines through lapack_lite; both must give the same bits.
+    through_ctypes = spectral._ctypes_routines()
+    if through_ctypes is None:
+        pytest.skip("numpy's OpenBLAS exports no scipy_dgeqrf_64_")
+    through_lite = spectral._lapack_lite_routines()
+    rng = np.random.default_rng([n, len(kind)])
+    for k in (1, 2, 20, 33, 65, 160):
+        if k > n:
+            continue
+        b = _qr_block(rng, n, k, kind)
+        monkeypatch.setattr(spectral, "_ROUTINES", through_ctypes)
+        q, r = _qr(b)
+        monkeypatch.setattr(spectral, "_ROUTINES", through_lite)
+        q_lite, r_lite = _qr(b)
+        assert np.array_equal(q, q_lite), (n, k)
+        assert np.array_equal(r, r_lite), (n, k)
+
+
 _BAD_LDA = """
 import numpy as np
-from numpy.linalg import lapack_lite
 from specluster.errors import SpeclusterError
 from specluster.spectral import _lapack
 a = np.ones((3, 5))  # a 5 x 3 block, column-major, with lda = 4 < 5
 try:
-    _lapack(lapack_lite.dgeqrf, 5, 3, a, 4, np.empty(3))
+    _lapack("dgeqrf", 5, 3, a, 4, np.empty(3))
 except SpeclusterError as error:
     print(__debug__, error)
 """
@@ -288,13 +312,23 @@ def _frozen_solver_graphs():
         yield random_graph(rng, 20 + 4 * i, 0.15 + 0.03 * i, weighted=i % 2 == 1)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_eigs_matches_frozen_solver_bitwise(threads):
+@pytest.fixture
+def frequent_switches():
+    # switch threads every microsecond, so that the two tasks of a sweep
+    # interleave as finely as the interpreter lets them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_eigs_matches_frozen_solver_bitwise(threads, frequent_switches):
     with worker_map(threads) as pmap:
         for i, g in enumerate(_frozen_solver_graphs()):
             op = SignlessLaplacianOp(g, threads, pmap)
             k = 2 + i % 5
-            for iters in (3, 300):
+            for iters in (0, 3, 300):
                 got = subspace_iteration_eigs(op, k, iters=iters, seed=i)
                 ref = subspace_iteration_eigs_reference(op, k, iters=iters, seed=i)
                 assert np.array_equal(got.values, ref.values), (i, iters)
@@ -303,6 +337,57 @@ def test_eigs_matches_frozen_solver_bitwise(threads):
                 assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
                 if iters == 3:
                     assert (got.iterations, got.converged) == (3, False)
+
+
+def test_eigs_sweep_tasks_allocate_no_block():
+    # Every n x k array of a sweep is the caller's; a task that allocated
+    # one would leave it in a pool thread's malloc arena.
+    n, k = 2000, 12
+    peaks = {}
+
+    def traced_map(fn, items):
+        for item in items:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(item)
+            if callable(item):  # a sweep task, not a row range of M X
+                name = item.__name__
+                peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - start)
+            yield result
+
+    op = SignlessLaplacianOp(random_graph(np.random.default_rng(26), n, 0.006), 1, traced_map)
+    tracemalloc.start()
+    try:
+        res = subspace_iteration_eigs(op, k, iters=5, seed=0)
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 5
+    assert set(peaks) == {"ritz_step", "factor"}
+    assert max(peaks.values()) < n * k * 8 // 4, peaks
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_eigs_runs_no_qr_after_the_converged_sweep_under_the_builtin_map(
+        monkeypatch, threads):
+    calls = []
+    real = spectral._lapack
+
+    def counted(name, *args):
+        calls.append(name)
+        real(name, *args)
+
+    g = sample_sbm(SbmParams(n=300, k=4, p=0.3, q=0.01, seed=1)).graph
+    with worker_map(threads) as pmap:
+        op = SignlessLaplacianOp(g, threads, pmap)
+        want = subspace_iteration_eigs(op, 4, seed=3)
+        monkeypatch.setattr(spectral, "_lapack", counted)
+        got = subspace_iteration_eigs(op, 4, seed=3)
+    assert want.converged and got.iterations == want.iterations
+    assert got.vectors.data.tobytes() == want.vectors.data.tobytes()
+    # The first QR is the initial basis. The builtin map never starts the
+    # converged sweep's QR; the pool runs it beside the Ritz step.
+    sweeps = want.iterations
+    assert calls.count("dgeqrf") - 1 == (sweeps - 1 if threads == 1 else sweeps)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
