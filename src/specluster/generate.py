@@ -168,14 +168,31 @@ class PointCloud:
 _KNN_MAX_N = 50_000
 
 
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest columns in (value, column) order.
+
+    Equal to ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without
+    sorting whole rows: every column not above the row's k-th smallest
+    value is a candidate, and the candidates, which ``np.nonzero`` lists by
+    row and column, are stably sorted by row and value. "Not above" keeps
+    NaN (from coordinates whose squares overflow), which both sorts place
+    last.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(~(d2 > kth))
+    order = np.lexsort((d2[rows, cols], rows))
+    firsts = np.searchsorted(rows, np.arange(d2.shape[0]))
+    return cols[order][firsts[:, None] + np.arange(k)]
+
+
 def build_knn_graph(points: np.ndarray, k_nn: int) -> Graph:
     """Exact k-nearest-neighbour graph of the rows of an (n, d) array.
 
     Symmetrized by union, unit weights. Brute force with Euclidean
-    distances: O(n^2 (d + log n)) time, chunked so memory stays
-    O(chunk * n). Distance ties break toward the lower point index. An
-    edge {u, v} exists when u is among v's k_nn nearest or vice versa, so
-    every vertex keeps degree >= k_nn when points are distinct.
+    distances: O(n^2 d) time, chunked so memory stays O(chunk * n).
+    Distance ties break toward the lower point index. An edge {u, v}
+    exists when u is among v's k_nn nearest or vice versa, so every vertex
+    keeps degree >= k_nn when points are distinct.
     """
     coords = PointSet(points).coords
     n = coords.shape[0]
@@ -191,8 +208,7 @@ def build_knn_graph(points: np.ndarray, k_nn: int) -> Graph:
         stop = min(start + chunk, n)
         d2 = sq_norms[start:stop, None] - 2.0 * coords[start:stop] @ coords.T + sq_norms[None, :]
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # stable argsort: equal distances resolve to the lower index
-        neighbor_cols[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k_nn]
+        neighbor_cols[start:stop] = _nearest(d2, k_nn)
 
     src = np.repeat(np.arange(n, dtype=np.int64), k_nn)
     dst = neighbor_cols.ravel()

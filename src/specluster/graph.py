@@ -33,6 +33,10 @@ from specluster.errors import GraphFormatError, InputError, UndefinedConductance
 # Rows per ``%`` call in write_rows: a few thousand rows amortize the call
 # while one block's values stay a small share of the process's memory.
 _WRITE_BLOCK_ROWS = 4096
+# Stored entries per block of save_edge_list, which writes about half as many
+# lines: larger blocks amortize the per-block numpy calls, smaller ones stay
+# in cache. 2**15 was the fastest of 2**13 to 2**17 on the sbm-k40 graph.
+_EDGE_BLOCK = 1 << 15
 
 
 @dataclass
@@ -81,6 +85,11 @@ class Graph:
         return self.adj
 
 
+def _index_dtype(n: int) -> type:
+    """The narrowest of int32 and int64 that holds every vertex id below ``n``."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def from_edges(
     n: int,
     u: Sequence[int],
@@ -100,8 +109,11 @@ def from_edges(
     second return value holds their original ids (sorted int64); it is None
     when no vertex was dropped.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = np.asarray(u), np.asarray(v)
+    if u.dtype.kind not in "iu":  # an empty list, for one, arrives as float64
+        u = u.astype(np.int64)
+    if v.dtype.kind not in "iu":
+        v = v.astype(np.int64)
     if w is None:
         w = np.ones(u.size, dtype=np.float64)
     else:
@@ -112,6 +124,10 @@ def from_edges(
         raise InputError(f"vertex id out of range [0, {n})")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise InputError("edge weights must be strictly positive and finite")
+    # The ids are in range, so they fit the index type that scipy would
+    # narrow the COO to anyway; concatenating in it halves the build's copies.
+    index = _index_dtype(n)
+    u, v = u.astype(index, copy=False), v.astype(index, copy=False)
     loop_mask = u == v
     if not allow_self_loops and np.any(loop_mask):
         ids = np.unique(u[loop_mask])[:8]
@@ -131,7 +147,7 @@ def from_edges(
         present[v] = True
         kept = None if present.all() else np.flatnonzero(present)
     else:
-        kept = np.union1d(u, v)
+        kept = np.union1d(u, v).astype(np.int64)
     if kept is not None:
         if not drop_isolated:
             first = np.setdiff1d(np.arange(min(n, kept.size + 8)), kept, assume_unique=True)
@@ -143,7 +159,9 @@ def from_edges(
         if kept.size == 0:
             raise InputError("graph is empty after dropping isolated vertices")
         n = int(kept.size)
-        u, v = np.searchsorted(kept, u), np.searchsorted(kept, v)
+        index = _index_dtype(n)
+        u = np.searchsorted(kept, u).astype(index)
+        v = np.searchsorted(kept, v).astype(index)
 
     self_loops = None
     if np.any(loop_mask):
@@ -155,6 +173,7 @@ def from_edges(
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     vals = np.concatenate([w, w])
+    del u, v, w  # the narrowed copies, if any, need not live through the build
     adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     degrees = np.asarray(adj.sum(axis=1)).ravel()
@@ -284,9 +303,12 @@ def load_edge_list(
     id_map = None
     table = _load_bulk(path)
     if table is not None:
-        # Field views of the table: from_edges reads them without a copy.
-        u, v = table["u"], table["v"]
-        weights = table["w"] if "w" in table.dtype.names else None
+        # Copies in the build's own types, so that the table is freed before
+        # the build, whose memory peak is the load's.
+        index = _index_dtype(int(max(table["u"].max(), table["v"].max())) + 1)
+        u, v = table["u"].astype(index), table["v"].astype(index)
+        weights = table["w"].copy() if "w" in table.dtype.names else None
+        del table
     else:
         tokens: list[str] = []  # endpoint tokens, two per edge
         ws: list[float] = []
@@ -369,12 +391,70 @@ def data_lines(fh, start: int = 1) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+# "%.17g" of a positive finite float64 takes at most 23 characters: 17
+# significant digits, a point and an exponent such as "e-308"; %g writes
+# positional form only for exponents -4 to 16, where it is no longer.
+_WEIGHT_TEXT_BYTES = 24
+
+
+def _text_table(conversion: str, end: str, values: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds ``conversion % values[i]``, NUL bytes, then ``end``, as 8-byte words.
+
+    Dropping a row's NULs leaves ``(conversion + end) % values[i]``. Each
+    value is formatted left-justified in ``width - 1`` characters, which
+    appends only spaces to the conversion's text; the spaces then become
+    NULs. Values are formatted with one ``%`` per ``_WRITE_BLOCK_ROWS`` of
+    them, as in ``write_rows``. ``width``, a multiple of 8, bounds the
+    rows; the table keeps only the words that its longest text and ``end``
+    fill, so that gathering a row copies as few words as it can.
+    """
+    padded = f"%-{width - 1}{conversion[1:]}"
+    table = np.empty((len(values), width), dtype=np.uint8)
+    table[:, -1] = ord(end)
+    for lo in range(0, len(values), _WRITE_BLOCK_ROWS):
+        chunk = values[lo:lo + _WRITE_BLOCK_ROWS].tolist()
+        text = ((padded * len(chunk)) % tuple(chunk)).encode("ascii")
+        if len(text) != len(chunk) * (width - 1):
+            raise ValueError(f"a {conversion!r} text is longer than {width - 1} characters")
+        table[lo:lo + len(chunk), :-1] = np.frombuffer(text, np.uint8).reshape(-1, width - 1)
+    table[table == ord(" ")] = 0
+    table = table[:, :(int(np.count_nonzero(table, axis=1).max(initial=1)) + 7) // 8 * 8].copy()
+    table[:, -1] = ord(end)
+    return table.view(np.uint64)
+
+
 def save_edge_list(g: Graph, path, header_comments: Sequence[str] = ()) -> None:
-    """Write the upper triangle (u < v) as a tab-separated edge list."""
-    src = g.edge_sources()
-    upper = src < g.col_indices
-    write_rows(path, [f"# {c}" for c in header_comments], "%d\t%d\t%.17g\n",
-               src[upper], g.col_indices[upper], g.weights[upper])
+    """Write the upper triangle (u < v) as a tab-separated edge list.
+
+    Each line holds the bytes of ``"%d\\t%d\\t%.17g\\n" % (u, v, w)``. The ids
+    are formatted once, and each block's distinct weights once per block,
+    into NUL-padded tables; a line is the gather of its three table rows
+    with the NULs dropped, which no formatted byte is. Stored entries are
+    visited ``_EDGE_BLOCK`` at a time in CSR order, and no array as long as
+    the edge count is made.
+    """
+    a = g.adj
+    ids = _text_table("%d", "\t", np.arange(g.n), (len(str(g.n - 1)) + 8) // 8 * 8)
+    iw = ids.shape[1]
+    with open(path, "wb") as fh:
+        fh.writelines(f"# {c}\n".encode("utf-8") for c in header_comments)
+        for lo in range(0, a.nnz, _EDGE_BLOCK):
+            hi = min(lo + _EDGE_BLOCK, a.nnz)
+            # The rows that hold entries lo to hi - 1, and their counts there.
+            first = int(np.searchsorted(a.indptr, lo, side="right")) - 1
+            last = int(np.searchsorted(a.indptr, hi, side="left"))
+            counts = np.diff(np.clip(a.indptr[first:last + 1], lo, hi))
+            src = np.repeat(np.arange(first, last), counts)
+            dst = a.indices[lo:hi]
+            upper = src < dst
+            distinct, codes = np.unique(a.data[lo:hi][upper], return_inverse=True)
+            weights = _text_table("%.17g", "\n", distinct, _WEIGHT_TEXT_BYTES)
+            lines = np.empty((codes.size, 2 * iw + weights.shape[1]), dtype=np.uint64)
+            np.take(ids, src[upper], axis=0, out=lines[:, :iw])
+            np.take(ids, dst[upper], axis=0, out=lines[:, iw:2 * iw])
+            np.take(weights, codes, axis=0, out=lines[:, 2 * iw:])
+            text = lines.view(np.uint8).ravel()
+            fh.write(text[text != 0])
 
 
 def load_labels(path, expected_n: int | None = None) -> np.ndarray:

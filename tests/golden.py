@@ -73,6 +73,9 @@ CASES = (
      (*_CLUSTER_OUT, "vertices.txt")),
     ("sbm_dropped", ["generate-sbm", "--n", "2000", "--k", "4", "--p", "0.002",
                      "--q", "0.0001", "--seed", "1"], _SBM_OUT),
+    # ids of one to five digits, and two isolated vertices dropped
+    ("sbm_wide", ["generate-sbm", "--n", "12000", "--k", "3", "--p", "0.002", "--q", "0.0002"],
+     ("graph.tsv", "labels.txt")),
     ("knn", ["knn-graph", "--points", "points.csv", "--knn", "5"], ("graph.tsv", "labels.txt")),
 )
 

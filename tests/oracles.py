@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from specluster import kmeans
 from specluster.errors import GraphFormatError, InputError, RankDeficiencyError, SpeclusterError
@@ -174,6 +175,68 @@ def pm_k_orthonormal_vectors_reference(op, k, t, seed) -> EmbeddingMatrix:
         )
     signs = np.sign(np.diag(r))
     return EmbeddingMatrix(data=q * signs[None, :], scaled=False, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# Frozen graph construction and edge-list writing: from_edges as it was
+# while it built from int64 concatenations, save_edge_list as it was while
+# it formatted every line through write_rows, and the kNN selection as it
+# was while it sorted whole rows. The library must give their bytes.
+
+
+def from_edges_reference(n, u, v, w=None, *, allow_self_loops=False, drop_isolated=False):
+    """``from_edges`` with int64 indices throughout; returns ``(Graph, kept)``."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.ones(u.size, dtype=np.float64) if w is None else np.asarray(w, dtype=np.float64)
+    if not (u.size == v.size == w.size):
+        raise InputError("edge arrays u, v, w must have equal length")
+    if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise InputError(f"vertex id out of range [0, {n})")
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise InputError("edge weights must be strictly positive and finite")
+    loop_mask = u == v
+    if not allow_self_loops and np.any(loop_mask):
+        raise InputError("self-loops present")
+    if n <= u.size + v.size:
+        present = np.zeros(n, dtype=bool)
+        present[u] = True
+        present[v] = True
+        kept = None if present.all() else np.flatnonzero(present)
+    else:
+        kept = np.union1d(u, v)
+    if kept is not None:
+        if not drop_isolated:
+            raise InputError("isolated vertices present")
+        if kept.size == 0:
+            raise InputError("graph is empty after dropping isolated vertices")
+        n = int(kept.size)
+        u, v = np.searchsorted(kept, u), np.searchsorted(kept, v)
+    self_loops = None
+    if np.any(loop_mask):
+        self_loops = np.bincount(u[loop_mask], weights=w[loop_mask], minlength=n)
+        u, v, w = u[~loop_mask], v[~loop_mask], w[~loop_mask]
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    vals = np.concatenate([w, w])
+    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    if self_loops is not None:
+        degrees = degrees + self_loops
+    return Graph(adj=adj, degrees=degrees, self_loop_weights=self_loops), kept
+
+
+def save_edge_list_reference(g: Graph, path, header_comments=()) -> None:
+    """``save_edge_list`` as one ``"%d\\t%d\\t%.17g\\n"`` per upper-triangle entry."""
+    src = g.edge_sources()
+    upper = src < g.col_indices
+    write_rows(path, [f"# {c}" for c in header_comments], "%d\t%d\t%.17g\n",
+               src[upper], g.col_indices[upper], g.weights[upper])
+
+
+def nearest_reference(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest columns, ties to the lower column, by a full stable sort."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import specluster.generate
 from specluster.errors import GraphFormatError, InputError
 from specluster.generate import (
     PointCloud,
@@ -14,7 +15,7 @@ from specluster.generate import (
 from specluster.kmeans import Partition, PointSet
 from specluster.metrics import ari
 from specluster.pipeline import SpectralParams, fast_spectral_cluster
-from tests.oracles import save_points_csv, sbm_expected_edges
+from tests.oracles import nearest_reference, save_points_csv, sbm_expected_edges
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,33 @@ def test_knn_separated_blobs_pipeline_recovery():
         assert ari(res.partition, Partition(truth, 2)) >= 0.99
     res = fast_spectral_cluster(g, SpectralParams(k=2, mode="eigs_k", seed=0))
     assert ari(res.partition, Partition(truth, 2)) >= 0.99
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_nearest_matches_stable_argsort_on_ties(seed):
+    # Few distinct values, so most rows tie at their k-th smallest; inf and
+    # NaN as the distance matrix can hold them (the diagonal, overflow).
+    rng = np.random.default_rng(seed)
+    shape = (int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+    d2 = rng.integers(0, int(rng.integers(1, 5)), shape).astype(np.float64)
+    d2[rng.random(shape) < 0.1] = np.inf
+    d2[rng.random(shape) < 0.05 * (seed % 2)] = np.nan
+    for k in range(1, shape[1] + 1):
+        assert np.array_equal(specluster.generate._nearest(d2, k), nearest_reference(d2, k))
+
+
+@pytest.mark.parametrize("n, k_nn", [(60, 1), (60, 7), (200, 30), (3000, 5)])
+def test_knn_graph_matches_argsort_selection(monkeypatch, n, k_nn):
+    # Points on a small integer grid: duplicates and equal distances
+    # everywhere. n = 3000 takes several distance slabs.
+    rng = np.random.default_rng(n + k_nn)
+    pts = rng.integers(0, 4, (n, 2)).astype(np.float64)
+    got = build_knn_graph(pts, k_nn)
+    monkeypatch.setattr(specluster.generate, "_nearest", nearest_reference)
+    want = build_knn_graph(pts, k_nn)
+    for a, b in [(got.adj.indptr, want.adj.indptr), (got.adj.indices, want.adj.indices),
+                 (got.adj.data, want.adj.data), (got.degrees, want.degrees)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_knn_input_validation():

@@ -2,9 +2,11 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import specluster.graph
 
@@ -14,6 +16,7 @@ from specluster.errors import (
     UndefinedConductanceError,
 )
 from specluster.graph import (
+    _EDGE_BLOCK,
     _WRITE_BLOCK_ROWS,
     Graph,
     conductance,
@@ -28,9 +31,11 @@ from specluster.graph import (
     write_rows,
 )
 from tests.oracles import (
+    from_edges_reference,
     k_way_expansion_bruteforce,
     partitions_into_k_parts,
     random_graph,
+    save_edge_list_reference,
     stirling2,
     validate_graph,
 )
@@ -526,6 +531,210 @@ def test_write_rows_matches_per_value_formatting(tmp_path, rows):
         write_rows(path, ["#magic n=1", "# comment"], fmt, *columns)
         expected = "#magic n=1\n# comment\n" + "".join(reference(*r) for r in zip(*columns))
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _graph_of(n, u, v, w=None):
+    """A Graph straight from its symmetric CSR: ids may be absent from every edge."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    w = np.ones(u.size) if w is None else np.asarray(w, dtype=np.float64)
+    adj = scipy.sparse.coo_matrix(
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n)).tocsr()
+    return Graph(adj=adj, degrees=np.asarray(adj.sum(axis=1)).ravel())
+
+
+def _chain(m, w=None):
+    return _graph_of(m + 1, np.arange(m), np.arange(1, m + 1), w)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(11)
+    # Every weight distinct: both ends of the float64 range, 0.1 and 1/3,
+    # and values of every exponent in between.
+    extremes = [5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2.2250738585072014e-308,
+                1e-5, 1e-4, 1e16, 1e17, 123456789012345.67, 0.30000000000000004]
+    spread = 10.0 ** rng.uniform(-323, 308, 600) * rng.uniform(1, 10, 600)
+    distinct = np.unique(np.concatenate([extremes, spread]))
+    rng.shuffle(distinct)
+    # Ids on both sides of every digit width from 9/10 up to 10**6.
+    wide = np.array(sorted({b + d for b in (10, 100, 1000, 10**4, 10**5, 10**6)
+                            for d in (-2, -1, 0, 1)}))
+    return {
+        "unit": random_graph(rng, 60, 0.2),
+        "weighted": random_graph(rng, 60, 0.2, weighted=True),
+        "distinct": _chain(distinct.size, distinct),
+        "wide_ids": _graph_of(10**6 + 2, np.concatenate([wide[:-1], wide[:12]]),
+                              np.concatenate([wide[1:], wide[::-1][:12]])),
+        "one_edge": _chain(1),
+        # the id table is formatted _WRITE_BLOCK_ROWS ids at a time
+        "ids_at_chunk": _graph_of(_WRITE_BLOCK_ROWS, [0, 1], [_WRITE_BLOCK_ROWS - 1] * 2),
+        "ids_past_chunk": _graph_of(_WRITE_BLOCK_ROWS + 1, [0, _WRITE_BLOCK_ROWS - 1],
+                                    [_WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS]),
+        "distinct_at_chunk": _chain(_WRITE_BLOCK_ROWS, 1.0 + np.arange(_WRITE_BLOCK_ROWS)),
+        "distinct_past_chunk": _chain(_WRITE_BLOCK_ROWS + 1, 0.5 + np.arange(_WRITE_BLOCK_ROWS + 1)),
+        # A chain of m edges stores 2m entries, visited _EDGE_BLOCK at a time:
+        # one block and about one block's lines, then about two blocks and
+        # one block of lines.
+        **{f"entries_{d:+d}": _chain(_EDGE_BLOCK // 2 + d) for d in (-1, 0, 1)},
+        **{f"lines_{d:+d}": _chain(_EDGE_BLOCK + d) for d in (-1, 0, 1)},
+    }
+
+
+_WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("headers", [(), ("one header", "caf\u00e9 \t tab")])
+@pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+def test_save_edge_list_matches_frozen_writer(tmp_path, name, headers):
+    g = _WRITER_CASES[name]
+    save_edge_list(g, tmp_path / "new.tsv", header_comments=headers)
+    save_edge_list_reference(g, tmp_path / "old.tsv", header_comments=headers)
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_save_edge_list_blocks_split_rows_anywhere(tmp_path, monkeypatch, block):
+    # Small blocks end inside rows, inside lower-triangle runs and on rows
+    # with no entries (vertex 3's self-loop is folded into its degree).
+    monkeypatch.setattr(specluster.graph, "_EDGE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    graphs = [random_graph(rng, 30, 0.3, weighted=True), _WRITER_CASES["one_edge"],
+              from_edges(5, [0, 3, 1, 2], [4, 3, 2, 4], [1.5, 2.0, 0.25, 3.0],
+                         allow_self_loops=True, drop_isolated=True)[0]]
+    for g in graphs:
+        save_edge_list(g, tmp_path / "new.tsv", header_comments=["h"])
+        save_edge_list_reference(g, tmp_path / "old.tsv", header_comments=["h"])
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+def test_text_table_rejects_a_text_longer_than_its_row():
+    # A longer text would shift every later row of its chunk.
+    with pytest.raises(ValueError, match="longer than 7"):
+        specluster.graph._text_table("%d", "\t", np.array([1, 10**7]), 8)
+
+
+def test_save_edge_list_holds_no_edge_length_array(tmp_path):
+    # A 1000-vertex complete graph: 499500 lines. The frozen writer's arrays
+    # (entry sources, the upper mask and three per-line columns) take 38
+    # bytes a line. The new writer holds the id table and one block: a
+    # block's arrays take under 160 bytes an entry of the block, whatever
+    # the number of lines.
+    n = 1000
+    iu, ju = np.triu_indices(n, k=1)
+    g, _ = from_edges(n, iu, ju)
+    peaks = []
+    for write in (save_edge_list_reference, save_edge_list):
+        tracemalloc.start()
+        write(g, tmp_path / "g.tsv")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] > 38 * iu.size
+    assert peaks[1] < 8 * n + 160 * _EDGE_BLOCK
+
+
+def _csr_bytes(g):
+    arrays = [g.adj.indptr, g.adj.indices, g.adj.data, g.degrees, g.self_loop_weights]
+    return [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays]
+
+
+def _build_cases():
+    rng = np.random.default_rng(3)
+    u = rng.integers(0, 40, 300)
+    v = rng.integers(0, 40, 300)
+    keep = u != v
+    return [
+        # duplicates, in both orientations, with their weights summed
+        (40, np.concatenate([u[keep], v[keep]]), np.concatenate([v[keep], u[keep]]),
+         rng.uniform(0.5, 2.0, 2 * int(keep.sum())), {}),
+        (40, u[keep], v[keep], None, {}),
+        # self-loops folded into the degree
+        (40, u, v, rng.uniform(0.5, 2.0, u.size), {"allow_self_loops": True}),
+        # isolated vertices dropped: through the presence mask and through
+        # the endpoint union, which n larger than the endpoints takes
+        (60, u[keep], v[keep], None, {"drop_isolated": True}),
+        (10**12, u * 10**9, v, None, {"allow_self_loops": True, "drop_isolated": True}),
+        (3, [], [], None, {"drop_isolated": True}),
+        (2, [0], [1], [2.5], {}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_build_cases())))
+def test_from_edges_matches_frozen_build(case):
+    n, u, v, w, flags = _build_cases()[case]
+    try:
+        want = from_edges_reference(n, u, v, w, **flags)
+    except InputError:
+        with pytest.raises(InputError):
+            from_edges(n, u, v, w, **flags)
+        return
+    got = from_edges(n, u, v, w, **flags)
+    assert _csr_bytes(got[0]) == _csr_bytes(want[0])
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert (got[1].dtype.str, got[1].tobytes()) == (want[1].dtype.str, want[1].tobytes())
+
+
+@pytest.mark.parametrize("flags", [{}, {"allow_self_loops": True}, {"drop_isolated": True}])
+def test_load_edge_list_matches_frozen_build(tmp_path, flags):
+    # Integer ids through the bulk parse and string ids through the line
+    # loop: the graph equals the frozen build of the same edges.
+    rng = np.random.default_rng(4)
+    u, v = rng.integers(0, 30, 200), rng.integers(0, 30, 200)
+    if not flags.get("allow_self_loops"):
+        u, v = u[u != v], v[u != v]
+    w = rng.uniform(0.5, 2.0, u.size)
+    ids = 3 * np.arange(30) if flags.get("drop_isolated") else np.arange(30)
+    for label in ("{}", "v{}"):
+        text = "".join(f"{label.format(ids[a])}\t{label.format(ids[b])}\t{c!r}\n"
+                       for a, b, c in zip(u, v, w.tolist()))
+        (tmp_path / "g.tsv").write_text(text)
+        res = load_edge_list(tmp_path / "g.tsv", **flags)
+        if label == "{}":
+            want, _ = from_edges_reference(int(ids[max(u.max(), v.max())]) + 1, ids[u], ids[v],
+                                           w, **flags)
+        else:
+            order = list(dict.fromkeys(np.stack([u, v], axis=1).ravel().tolist()))
+            index = {x: i for i, x in enumerate(order)}
+            want, _ = from_edges_reference(len(order), [index[x] for x in u.tolist()],
+                                           [index[x] for x in v.tolist()], w, **flags)
+            assert res.id_map == [f"v{ids[x]}" for x in order]
+        assert _csr_bytes(res.graph) == _csr_bytes(want)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_load_edge_list_frees_the_parse_table_before_the_build(tmp_path, monkeypatch, weighted):
+    # The loadtxt table holds 16 or 24 bytes an edge; the arrays handed to
+    # the build hold 8 or 16 (int32 ids and the float64 weights). Memory
+    # traced when the build starts stays below the table's size, which it
+    # could not with the table alive.
+    m = 50_000
+    rng = np.random.default_rng(5)
+    u = np.arange(m) % 5000
+    v = (u + 1 + rng.integers(0, 4998, m)) % 5000
+    path = tmp_path / "g.tsv"
+    if weighted:
+        path.write_text("".join(f"{a}\t{b}\t{c!r}\n" for a, b, c in
+                                zip(u.tolist(), v.tolist(), rng.uniform(0.5, 2, m).tolist())))
+    else:
+        path.write_text("".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(), v.tolist())))
+    at_build = []
+    real_from_edges = specluster.graph.from_edges
+
+    def spy(*args, **kwargs):
+        at_build.append((tracemalloc.get_traced_memory()[0], sys._getframe(1).f_locals.copy()))
+        return real_from_edges(*args, **kwargs)
+
+    monkeypatch.setattr(specluster.graph, "from_edges", spy)
+    tracemalloc.start()
+    try:
+        load_edge_list(path)
+    finally:
+        tracemalloc.stop()
+    (traced, loader_locals), = at_build
+    table_bytes = (24 if weighted else 16) * m
+    assert "table" not in loader_locals
+    assert traced < table_bytes
+    assert loader_locals["u"].dtype == np.int32
 
 
 def test_data_lines_report_file_line_numbers(tmp_path):
